@@ -16,24 +16,21 @@
 
 use crate::config::RunConfig;
 use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, NoProbe, RankEngine, StepComm, StepOutcome, StepPipeline,
+    Backend, BackendStats, ExchangeInfo, RankEngine, StepComm, StepOutcome, StepPipeline,
 };
 use crate::machine::{CostModel, MachineProfile, Placement};
 use crate::report::{ReportBuilder, RunReport};
-use crate::state::{CoupledState, StepRecord};
+use crate::state::StepRecord;
 use crate::timers::{Breakdown, Phase};
 use balance::{load_imbalance_indicator, CostSample, RebalanceOutcome, Rebalancer};
 use dsmc::EXITED;
-use obs::Observer as _;
+use obs::{NullObserver, Observer as _};
 use particles::PACKED_SIZE;
 use partition::Decomposition;
 use partition::{part_graph_kway, Graph, KwayOptions};
 use vmpi::{traffic, Strategy, TrafficSummary};
 
 pub use crate::report::StepTrace;
-
-/// Aggregate outcome of a cluster run — the shared [`RunReport`].
-pub type ClusterReport = RunReport;
 
 /// Attribution backend: no real communication, modelled per-rank
 /// costs. Each `lap` charges the phase's work to the virtual rank
@@ -485,7 +482,7 @@ impl Backend for ModelledBackend {
 /// whole-domain [`RankEngine`] plus the [`ModelledBackend`] running
 /// through the shared [`StepPipeline`].
 pub struct ClusterSim {
-    pub state: CoupledState,
+    pub state: RankEngine,
     backend: ModelledBackend,
     pipeline: StepPipeline,
     /// Observability config carried from the [`RunConfig`]; honored
@@ -499,7 +496,7 @@ impl ClusterSim {
     /// "we use METIS to decompose the grid ... solely according to
     /// the number of grid cells").
     pub fn new(run: &RunConfig, profile: MachineProfile) -> Self {
-        let state = CoupledState::new(run.sim.clone());
+        let state = RankEngine::new(run.sim.clone());
         let (xadj, adjncy) = state.nm.coarse.cell_graph();
         let g = Graph::new(xadj.clone(), adjncy.clone(), vec![1; state.nm.num_coarse()]);
         let ncoarse = state.nm.num_coarse();
@@ -534,12 +531,12 @@ impl ClusterSim {
         let idx = self.state.step_count;
         let (_, trace, bd) =
             self.pipeline
-                .run_step(&mut self.state, &mut self.backend, &mut NoProbe, idx);
+                .run_step(&mut self.state, &mut self.backend, &mut NullObserver, idx);
         (trace, bd)
     }
 
     /// Run `steps` DSMC iterations, returning the aggregate report.
-    pub fn run(&mut self, steps: usize) -> ClusterReport {
+    pub fn run(&mut self, steps: usize) -> RunReport {
         let mut builder = ReportBuilder::new();
         let sink = self.obs.trace.make_sink().expect("open trace sink");
         let mut rec = obs::Recorder::new(self.obs.metrics.as_ref(), sink)

@@ -11,11 +11,10 @@ use mesh::NozzleSpec;
 use obs::json::{obj, Json};
 use obs::{Registry, TraceSpec};
 use partition::Decomposition;
-use serde::{Deserialize, Serialize};
 use vmpi::{FaultAction, FaultPlan, Strategy};
 
 /// Physics and numerics of one simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Nozzle geometry / mesh resolution.
     pub nozzle: NozzleSpec,
@@ -89,7 +88,7 @@ impl SimConfig {
 }
 
 /// One of the paper's six datasets (Table I), possibly scaled down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
     D1,
     D2,

@@ -20,9 +20,7 @@
 //!   traffic, rebalances and per-step traces; the default
 //!   implementation is a no-op, and
 //!   [`crate::report::ReportBuilder`] uses it to assemble the shared
-//!   [`crate::report::RunReport`]. The engine-private [`Probe`] hook
-//!   is superseded by that public API; [`ProbeAdapter`] keeps legacy
-//!   probes working.
+//!   [`crate::report::RunReport`].
 
 use crate::config::SimConfig;
 use crate::report::StepTrace;
@@ -34,7 +32,7 @@ use dsmc::{
 };
 use kernels::Pool;
 use mesh::NestedMesh;
-use obs::{ExchangeEvent, Observer, RebalanceEvent, SpanTimer};
+use obs::{ExchangeEvent, NullObserver, Observer, RebalanceEvent, SpanTimer};
 use particles::{ParticleBuffer, SortScratch, SpeciesTable};
 use pic::{accelerate_charged_pooled, deposit_charge_pooled, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
@@ -97,20 +95,6 @@ pub struct RankEngine {
     pub exch: ExchangeScratch,
     sort_scratch: SortScratch,
     events: Vec<CollisionEvent>,
-}
-
-/// Seed of the dedicated DSMC subcycle stream for a rank seeded with
-/// `seed` (splitmix64 golden-ratio offset — decorrelated from both
-/// the main stream and the pump stream). Shared with the checkpoint
-/// module: pre-v4 snapshots re-derive the aux streams from this.
-pub(crate) fn dsmc_stream_seed(seed: u64) -> u64 {
-    seed.wrapping_add(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Seed of the dedicated pump-decision stream (see
-/// [`dsmc_stream_seed`]).
-pub(crate) fn pump_stream_seed(seed: u64) -> u64 {
-    seed.wrapping_add(0x3C6E_F372_FE94_F82A)
 }
 
 impl RankEngine {
@@ -202,8 +186,10 @@ impl RankEngine {
             poisson,
             efield,
             rng: StdRng::seed_from_u64(seed),
-            rng_dsmc: StdRng::seed_from_u64(dsmc_stream_seed(seed)),
-            rng_pump: StdRng::seed_from_u64(pump_stream_seed(seed)),
+            // the aux streams sit at splitmix64 golden-ratio offsets,
+            // decorrelated from the main stream and from each other
+            rng_dsmc: StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
+            rng_pump: StdRng::seed_from_u64(seed.wrapping_add(0x3C6E_F372_FE94_F82A)),
             step_count: 0,
             pool,
             exch: ExchangeScratch::default(),
@@ -260,7 +246,7 @@ impl RankEngine {
         let (rec, _, _) = StepPipeline::default().run_step(
             self,
             &mut SerialBackend::new(),
-            &mut obs::NullObserver,
+            &mut NullObserver,
             step,
         );
         rec
@@ -622,44 +608,6 @@ pub trait Backend {
     }
 }
 
-/// Legacy observer hook of the pipeline, superseded by the public
-/// [`obs::Observer`] API (which adds per-exchange and per-rebalance
-/// signals). Existing implementations keep working through
-/// [`ProbeAdapter`]; new code should implement [`obs::Observer`]
-/// directly.
-pub trait Probe {
-    /// `phase` took `seconds` this step (called once per phase per
-    /// step, after the step completes).
-    fn phase(&mut self, phase: Phase, seconds: f64) {
-        let _ = (phase, seconds);
-    }
-
-    /// Step `index` finished with this trace.
-    fn step(&mut self, index: usize, trace: &StepTrace) {
-        let _ = (index, trace);
-    }
-}
-
-/// Adapts a legacy [`Probe`] to the [`obs::Observer`] API the
-/// pipeline drives (exchange/rebalance signals are dropped — the
-/// `Probe` trait never had them).
-#[derive(Debug, Default)]
-pub struct ProbeAdapter<P: Probe>(pub P);
-
-impl<P: Probe> Observer for ProbeAdapter<P> {
-    fn phase(&mut self, phase: Phase, seconds: f64) {
-        self.0.phase(phase, seconds);
-    }
-
-    fn step(&mut self, index: usize, trace: &StepTrace) {
-        self.0.step(index, trace);
-    }
-}
-
-/// The do-nothing observer (historical name; now an alias of
-/// [`obs::NullObserver`], which the pipeline accepts directly).
-pub use obs::NullObserver as NoProbe;
-
 /// The coupled timestep's phase sequence (paper Fig. 1), defined
 /// exactly once. Every driver — `run_serial`, `run_threaded`,
 /// `ClusterSim` — iterates this.
@@ -924,43 +872,11 @@ mod tests {
         let mut eng = RankEngine::new(cfg);
         let mut be = SerialBackend::new();
         let pipeline = StepPipeline::default();
-        let (_, trace, bd) = pipeline.run_step(&mut eng, &mut be, &mut NoProbe, 0);
+        let (_, trace, bd) = pipeline.run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert!(bd.total() > 0.0, "laps must measure wall time");
         assert_eq!(trace.step_time, bd.total());
         assert_eq!(trace.share, vec![1.0]);
         assert!(!trace.rebalanced);
-    }
-
-    #[test]
-    fn legacy_probe_sees_every_phase_and_step_through_adapter() {
-        #[derive(Default)]
-        struct Counting {
-            phases: usize,
-            steps: usize,
-            time: f64,
-        }
-        impl Probe for Counting {
-            fn phase(&mut self, _p: Phase, s: f64) {
-                self.phases += 1;
-                self.time += s;
-            }
-            fn step(&mut self, _i: usize, t: &StepTrace) {
-                self.steps += 1;
-                assert!((self.time - t.step_time).abs() < 1e-12);
-                self.time = 0.0;
-            }
-        }
-        let mut cfg = Dataset::D1.config(0.02);
-        cfg.seed = 7;
-        let mut eng = RankEngine::new(cfg);
-        let mut be = SerialBackend::new();
-        let mut probe = ProbeAdapter(Counting::default());
-        let pipeline = StepPipeline::default();
-        for step in 0..3 {
-            pipeline.run_step(&mut eng, &mut be, &mut probe, step);
-        }
-        assert_eq!(probe.0.steps, 3);
-        assert_eq!(probe.0.phases, 3 * Phase::ALL.len());
     }
 
     #[test]
@@ -969,7 +885,8 @@ mod tests {
         cfg.seed = 7;
         let mut eng = RankEngine::new(cfg);
         let mut be = SerialBackend::new();
-        let (_, trace, _) = StepPipeline::default().run_step(&mut eng, &mut be, &mut NoProbe, 0);
+        let (_, trace, _) =
+            StepPipeline::default().run_step(&mut eng, &mut be, &mut NullObserver, 0);
         assert_eq!(trace.transactions, 0);
         assert_eq!(trace.bytes, 0);
         assert_eq!(trace.strategy_uses, [0; 4]);

@@ -11,8 +11,7 @@ use std::fmt::Write as _;
 pub use obs::StepTrace;
 
 /// Unified result of a coupled run. The serial, threaded and
-/// modelled-cluster drivers all return this one type (the old
-/// `ThreadedRunResult` / `ClusterReport` are aliases of it), so every
+/// modelled-cluster drivers all return this one type, so every
 /// consumer gets the same breakdown, traffic and per-step trace
 /// regardless of which backend produced it.
 #[derive(Debug, Clone, Default)]

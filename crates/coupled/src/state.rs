@@ -1,22 +1,16 @@
 //! Shared simulation state of the coupled DSMC/PIC solver.
 //!
 //! The per-rank state and the timestep itself live in
-//! [`crate::engine`]: [`CoupledState`] is the whole-domain
-//! [`RankEngine`] (one engine owning every cell, serial pool, full
-//! injector), and [`CoupledState::dsmc_step`] drives the one
+//! [`crate::engine`]: a whole-domain [`crate::engine::RankEngine`]
+//! (one engine owning every cell, serial pool, full injector) is the
+//! serial simulation, and its `dsmc_step` drives the one
 //! [`crate::engine::StepPipeline`] with the serial backend — Inject →
 //! DSMC_Move → Colli_React → `R ×` (PIC_Move → Poisson_Solve) →
 //! Reindex (paper Fig. 1) — returning a [`StepRecord`] with every
 //! work quantity the serial validator and the modelled cluster driver
 //! need.
 
-use crate::engine::RankEngine;
 use dsmc::ReactStats;
-
-/// All state of one coupled simulation (physics only — ownership and
-/// communication live in the drivers/backends). Alias of the unified
-/// per-rank engine.
-pub type CoupledState = RankEngine;
 
 /// Work quantities of one DSMC iteration, for timing attribution.
 #[derive(Debug, Clone, Default)]
@@ -47,13 +41,13 @@ pub struct StepRecord {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::Dataset;
+    use crate::engine::RankEngine;
 
-    fn small_state() -> CoupledState {
+    fn small_state() -> RankEngine {
         let mut cfg = Dataset::D1.config(0.02);
         cfg.seed = 7;
-        CoupledState::new(cfg)
+        RankEngine::new(cfg)
     }
 
     #[test]

@@ -67,10 +67,6 @@ use vmpi::{
     CommResult, NodeMap, ReliableComm, ReliableWorld, Strategy,
 };
 
-/// Result of a threaded run (as returned by rank 0) — the shared
-/// [`RunReport`].
-pub type ThreadedRunResult = RunReport;
-
 /// Recovery replays attempted before a fault is surfaced to the
 /// caller — a backstop against fault plans (or genuinely broken
 /// transports) that keep killing the run faster than checkpoints can

@@ -1,10 +1,9 @@
 //! Minimal JSON value, writer and parser.
 //!
-//! The build environment vendors `serde` as an API stub (no real
-//! serialization), so the trace sinks and the run-report export write
-//! JSON through this hand-rolled value type instead. The parser
-//! exists so tests (and downstream tooling) can round-trip
-//! [`crate::sink::JsonlSink`] output without external crates; it
+//! The workspace builds with no external serialization crate, so the
+//! trace sinks and the run-report export write JSON through this
+//! hand-rolled value type. The parser exists so tests (and downstream
+//! tooling) can round-trip [`crate::sink::JsonlSink`] output; it
 //! accepts exactly the JSON this module emits plus ordinary
 //! whitespace, and rejects anything malformed.
 

@@ -132,7 +132,7 @@ pub fn allreduce_max_f64<C: Comm>(comm: &C, mine: f64) -> CommResult<f64> {
 /// a faster peer posted for a *later* protocol phase.
 const ALLTOALL_MAGIC: u8 = 0xA2;
 
-/// Probe one queued frame from `src` and keep it only if `accept`
+/// Take one queued frame from `src` and keep it only if `accept`
 /// likes its header bytes. A frame that fails the predicate is
 /// returned to the front of `src`'s queue with [`Comm::pushback`] —
 /// it belongs to a later round or phase and must be seen again by

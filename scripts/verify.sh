@@ -29,9 +29,8 @@ cargo test -q --test scenario_guard
 echo "== jobsrv gate (served jobs bitwise-match solo runs; kill mid-job recovers) =="
 cargo test -q --test jobsrv_guard
 
-echo "== bench smoke (quick snapshot must emit every kernel row) =="
-BENCH_QUICK=1 BENCH_OUT=target/bench_smoke.json \
-    cargo run --release -q -p bench --bin bench_snapshot
+echo "== benchmark smoke (every workload emits every metric and passes its checks) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

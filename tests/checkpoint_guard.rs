@@ -4,13 +4,13 @@
 //! identical, including through the per-rank recovery envelope.
 
 use coupled::{
-    checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError, CoupledState, Dataset,
+    checkpoint, checkpoint_rank, restore, restore_rank, CheckpointError, Dataset, RankEngine,
 };
 
-fn sim() -> CoupledState {
+fn sim() -> RankEngine {
     let mut cfg = Dataset::D1.config(0.02);
     cfg.seed = 777;
-    CoupledState::new(cfg)
+    RankEngine::new(cfg)
 }
 
 #[test]
@@ -51,31 +51,44 @@ fn bad_magic_and_bad_version_are_typed_errors() {
         restore(&mut b, &blob),
         Err(CheckpointError::BadVersion(99))
     ));
+    // the retired pre-v4 formats: magic, version, step, then a body
+    // that would once have restored
+    for v in 1..=3u32 {
+        let mut old = Vec::new();
+        old.extend_from_slice(b"DPIC");
+        old.extend_from_slice(&v.to_le_bytes());
+        old.extend_from_slice(&3u64.to_le_bytes());
+        old.extend_from_slice(&[0u8; 64]);
+        assert_eq!(restore(&mut b, &old), Err(CheckpointError::BadVersion(v)));
+    }
 }
 
 #[test]
-fn v1_restore_reseeds_deterministically() {
-    // hand-build a v1 blob (magic, version 1, step, count, records):
-    // still restorable, and two restores agree on the re-seeded RNG
+fn crafted_particle_count_is_a_typed_error() {
+    // the particle count is the last u64 before the lane-wise body; a
+    // huge count must not overflow the size check (a debug panic, a
+    // silent wrap in release) but fail as a short blob
     let mut a = sim();
     for _ in 0..3 {
         a.dsmc_step();
     }
-    let mut blob = Vec::new();
-    blob.extend_from_slice(b"DPIC");
-    blob.extend_from_slice(&1u32.to_le_bytes());
-    blob.extend_from_slice(&(a.step_count as u64).to_le_bytes());
-    blob.extend_from_slice(&(a.particles.len() as u64).to_le_bytes());
-    for i in 0..a.particles.len() {
-        particles::pack_particle(&a.particles.get(i), &mut blob);
-    }
+    let blob = checkpoint(&a);
+    let body = a.particles.len() * particles::PACKED_SIZE;
+    let at = blob.len() - body - 8;
+    assert_eq!(
+        u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()),
+        a.particles.len() as u64
+    );
     let mut b = sim();
-    let mut c = sim();
-    restore(&mut b, &blob).expect("v1 restores");
-    restore(&mut c, &blob).expect("v1 restores");
-    assert_eq!(b.step_count, a.step_count);
-    assert_eq!(b.particles.len(), a.particles.len());
-    assert_eq!(b.rng, c.rng, "v1 re-seed must be deterministic");
+    for count in [1u64 << 62, u64::MAX, a.particles.len() as u64 + 1] {
+        let mut crafted = blob.clone();
+        crafted[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(
+            restore(&mut b, &crafted),
+            Err(CheckpointError::Truncated),
+            "count {count}"
+        );
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! MEX/CEX collisions, the constant magnetic field, the auto-tuner
 //! and VTK export — all driven through the public coupled API.
 
-use coupled::{CoupledState, Dataset, MachineProfile, RunConfig};
+use coupled::{Dataset, MachineProfile, RankEngine, RunConfig};
 use mesh::Vec3;
 
 #[test]
@@ -10,7 +10,7 @@ fn cross_collisions_preserve_population_and_charge() {
     let mut cfg = Dataset::D1.config(0.03);
     cfg.cross_collisions = true;
     cfg.seed = 77;
-    let mut st = CoupledState::new(cfg);
+    let mut st = RankEngine::new(cfg);
     let mut injected = 0usize;
     let mut exited = 0usize;
     for _ in 0..25 {
@@ -32,11 +32,13 @@ fn cross_collisions_change_the_flow() {
         let mut cfg = Dataset::D1.config(0.03);
         cfg.cross_collisions = cross;
         cfg.seed = 12;
-        // dense enough for neutral-ion encounters
+        // dense enough for neutral-ion encounters; the heavier ion
+        // weight keeps the beam at ~45k simulation particles
         cfg.density_hplus = 3e12;
-        let mut st = CoupledState::new(cfg);
+        cfg.weight_hplus *= 10.0;
+        let mut st = RankEngine::new(cfg);
         let mut colls = 0usize;
-        for _ in 0..20 {
+        for _ in 0..10 {
             colls += st.dsmc_step().collisions;
         }
         colls
@@ -56,7 +58,7 @@ fn magnetic_field_bends_ion_trajectories() {
     let mut cfg = Dataset::D1.config(0.03);
     cfg.b_field = Vec3::new(0.0, 0.0, 0.5);
     cfg.seed = 3;
-    let mut st = CoupledState::new(cfg);
+    let mut st = RankEngine::new(cfg);
     for _ in 0..20 {
         st.dsmc_step();
     }
@@ -131,7 +133,7 @@ fn autotuner_prefers_some_rebalancing_on_skewed_plume() {
 
 #[test]
 fn vtk_export_of_simulation_fields() {
-    let mut st = CoupledState::new(Dataset::D1.config(0.02));
+    let mut st = RankEngine::new(Dataset::D1.config(0.02));
     for _ in 0..5 {
         st.dsmc_step();
     }

@@ -131,7 +131,7 @@ fn transaction_counts_reflect_strategy() {
     assert!(rcc.bytes as f64 >= rdc.bytes as f64 * 0.8);
 }
 
-/// The ISSUE acceptance criterion for intra-rank threading: running
+/// The contract of intra-rank threading: running
 /// the field pipeline (deposit → Poisson/CG) with 1 worker and with 4
 /// workers must produce *bitwise identical* node charge and an
 /// *identical* CG residual history. Deposition replays contribution
