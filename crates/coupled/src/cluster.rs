@@ -16,18 +16,19 @@
 
 use crate::config::RunConfig;
 use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, RankEngine, StepComm, StepOutcome, StepPipeline,
+    seed_partition, Backend, BackendStats, Balancing, CommLedger, ExchangeInfo, RankEngine,
+    StepComm, StepOutcome, StepPipeline, SAMPLED_PHASES,
 };
 use crate::machine::{CostModel, MachineProfile, Placement};
-use crate::report::{ReportBuilder, RunReport};
+use crate::report::RunReport;
 use crate::state::StepRecord;
 use crate::timers::{Breakdown, Phase};
-use balance::{load_imbalance_indicator, CostSample, RebalanceOutcome, Rebalancer};
+use balance::load_imbalance_indicator;
 use dsmc::EXITED;
-use obs::{NullObserver, Observer as _};
+use mesh::NestedMesh;
+use obs::NullObserver;
 use particles::PACKED_SIZE;
 use partition::Decomposition;
-use partition::{part_graph_kway, Graph, KwayOptions};
 use vmpi::{traffic, Strategy, TrafficSummary};
 
 pub use crate::report::StepTrace;
@@ -41,12 +42,12 @@ pub struct ModelledBackend {
     /// Coarse-cell ownership: cell → rank.
     owner: Vec<u32>,
     strategy: Strategy,
+    /// α–β model; its node map is the one Hier is priced on.
     cost: CostModel,
-    /// Unified particle/field ownership (default) or the split
-    /// Eulerian/Lagrangian mode (statically block-partitioned field
-    /// grid, gather/scatter charge halo priced in the Poisson lap).
-    decomp: Decomposition,
-    rebalancer: Option<Rebalancer>,
+    /// The balancer and decomposition mode (the split
+    /// Eulerian/Lagrangian mode prices the gather/scatter charge halo
+    /// in the Poisson lap).
+    balancing: Balancing,
     xadj: Vec<u32>,
     adjncy: Vec<u32>,
     ranks: usize,
@@ -58,21 +59,12 @@ pub struct ModelledBackend {
     /// solve and the partitioner (their inputs are mesh-sized, which
     /// the dataset `scale` shrinks).
     grid_boost: f64,
-    /// Exchanges carried per concrete strategy (CONCRETE order).
-    strategy_uses: [u64; 4],
-    rebalance_migrated: u64,
     /// Modelled per-rank phase times of the step in flight.
     per_rank: Vec<Breakdown>,
-    /// Attribution of the exchange in flight (exact — the protocol
-    /// prediction is the modelled backend's ground truth).
-    pending_exchange: Option<ExchangeInfo>,
-    /// Protocol-predicted traffic of the step in flight.
-    step_tx: u64,
-    step_bytes: u64,
-    /// Accumulated per-step traffic = run totals for the report.
-    total_tx: u64,
-    total_bytes: u64,
-    uses_mark: [u64; 4],
+    /// Exchanges carry their exact protocol prediction — the modelled
+    /// backend's ground truth, so the ledger closes steps at its
+    /// attributed sum.
+    ledger: CommLedger,
     /// Subcycle watermarks: [`StepRecord`] accumulates neutral
     /// transitions and collision candidates across DSMC subcycles, so
     /// each lap must charge only the delta since the previous subcycle
@@ -83,91 +75,67 @@ pub struct ModelledBackend {
 }
 
 impl ModelledBackend {
-    fn new(
-        run: &RunConfig,
-        profile: MachineProfile,
-        ncoarse: usize,
-        owner: Vec<u32>,
-        xadj: Vec<u32>,
-        adjncy: Vec<u32>,
-    ) -> Self {
+    fn new(run: &RunConfig, profile: MachineProfile, nm: &NestedMesh) -> Self {
+        let (xadj, adjncy, owner) = seed_partition(nm, run.ranks);
         ModelledBackend {
             owner,
             strategy: run.strategy,
             cost: CostModel::new(profile, run.ranks),
-            decomp: run.decomposition,
-            rebalancer: run.rebalance.map(|mut rc| {
-                if run.decomposition == Decomposition::EulLag {
-                    // the field grid is statically block-partitioned
-                    // under the split mode, so the balancer weighs
-                    // particle work only
-                    rc.wlm.w_cell = 0;
-                }
-                Rebalancer::new(rc)
-            }),
+            balancing: Balancing::new(run),
             xadj,
             adjncy,
             ranks: run.ranks,
             boost: run.work_boost.max(1.0),
             grid_boost: run
                 .paper_cells
-                .map(|pc| (pc as f64 / (8.0 * ncoarse as f64)).max(1.0))
+                .map(|pc| (pc as f64 / (8.0 * nm.num_coarse() as f64)).max(1.0))
                 .unwrap_or(1.0),
-            strategy_uses: [0; 4],
-            rebalance_migrated: 0,
             per_rank: Vec::new(),
-            pending_exchange: None,
-            step_tx: 0,
-            step_bytes: 0,
-            total_tx: 0,
-            total_bytes: 0,
-            uses_mark: [0; 4],
+            ledger: CommLedger::default(),
             neutral_mark: 0,
             cand_mark: 0,
         }
     }
 
-    /// The strategy that carries this exchange: the configured one,
-    /// or — under [`Strategy::Auto`] — the cost model's pick for this
-    /// migration matrix. Tallies the choice for the report and returns
-    /// it with its CONCRETE index.
-    fn resolve(&mut self, m: &[Vec<u64>]) -> (Strategy, usize) {
+    /// Carry one exchange of migration matrix `m`: resolve the
+    /// strategy (under [`Strategy::Auto`], the cost model's pick),
+    /// count it, and record its protocol-predicted traffic for the
+    /// step trace and the pipeline's exchange events.
+    fn carry(&mut self, m: &[Vec<u64>]) -> (Strategy, TrafficSummary) {
         let s = if self.strategy == Strategy::Auto {
             self.cost.pick_strategy(m)
         } else {
             self.strategy
         };
-        let idx = Strategy::CONCRETE
-            .iter()
-            .position(|&c| c == s)
-            .expect("resolved strategy is concrete");
-        self.strategy_uses[idx] += 1;
-        (s, idx)
-    }
-
-    /// Record one carried exchange's protocol-predicted traffic for
-    /// the step trace and the pipeline's exchange events.
-    fn note_exchange(&mut self, strategy: usize, tf: &TrafficSummary) {
-        self.step_tx += tf.transactions;
-        self.step_bytes += tf.total_bytes;
-        self.pending_exchange = Some(ExchangeInfo {
-            strategy,
+        let tf = traffic(s, &self.cost.nodes, m);
+        let info = ExchangeInfo {
+            strategy: 0, // stamped by the ledger
             transactions: tf.transactions,
             bytes: tf.total_bytes,
             max_rank_msgs: tf.max_rank_msgs,
             node_pairs: tf.node_pairs,
             aggregated_bytes: tf.aggregated_bytes,
-        });
+        };
+        self.ledger.carried(s, info);
+        (s, tf)
     }
 
-    /// Protocol traffic for `s` over matrix `m`. Hier aggregates over
-    /// the machine's node map (ranks grouped by `cores_per_node`), the
-    /// same grouping [`CostModel::pick_strategy`] evaluated.
-    fn traffic_for(&self, s: Strategy, m: &[Vec<u64>]) -> TrafficSummary {
-        if s == Strategy::Hier {
-            vmpi::traffic_hier(&self.cost.node_map_for(self.ranks), m)
-        } else {
-            traffic(s, m)
+    /// How many of `cells` (with repeats) each rank owns.
+    fn owned(&self, cells: impl Iterator<Item = u32>) -> Vec<u64> {
+        let mut n = vec![0u64; self.ranks];
+        for c in cells {
+            n[self.owner[c as usize] as usize] += 1;
+        }
+        n
+    }
+
+    /// Charge every rank the `phase` moves starting in the cells it
+    /// owns.
+    fn charge_moves(&mut self, phase: Phase, transitions: &[(u32, u32)]) {
+        let moves = self.owned(transitions.iter().map(|&(oc, _)| oc));
+        let rate = self.cost.profile.move_rate;
+        for (bd, &mv) in self.per_rank.iter_mut().zip(&moves) {
+            bd[phase] += self.cost.compute(mv as f64 * self.boost, rate);
         }
     }
 
@@ -228,14 +196,7 @@ impl Backend for ModelledBackend {
             // DSMC_Move: each move is charged to the owner of the
             // particle's start-of-step cell.
             Phase::DsmcMove => {
-                let mut moves = vec![0u64; k];
-                for &(oc, _) in &rec.neutral_transitions[self.neutral_mark..] {
-                    moves[self.owner[oc as usize] as usize] += 1;
-                }
-                for (bd, &mv) in self.per_rank.iter_mut().zip(&moves) {
-                    bd[Phase::DsmcMove] +=
-                        self.cost.compute(mv as f64 * self.boost, prof.move_rate);
-                }
+                self.charge_moves(phase, &rec.neutral_transitions[self.neutral_mark..])
             }
             // Exchanges: synchronized phases, same cost on all ranks,
             // charged from the exact byte matrix the protocol would
@@ -249,13 +210,11 @@ impl Backend for ModelledBackend {
                     &rec.charged_transitions[sub]
                 };
                 let m = self.migration_matrix(tr);
-                let (s, idx) = self.resolve(&m);
-                let tf = self.traffic_for(s, &m);
+                let (s, tf) = self.carry(&m);
                 let t = self.cost.exchange_time(s, &tf);
                 for bd in self.per_rank.iter_mut() {
                     bd[phase] += t;
                 }
-                self.note_exchange(idx, &tf);
             }
             // Colli_React: candidates distributed ∝ n_c(n_c−1) over
             // owned cells. (Neutral counts are stable from here to the
@@ -278,15 +237,7 @@ impl Backend for ModelledBackend {
                     }
                 }
             }
-            Phase::PicMove => {
-                let mut moves = vec![0u64; k];
-                for &(oc, _) in &rec.charged_transitions[sub] {
-                    moves[self.owner[oc as usize] as usize] += 1;
-                }
-                for (bd, &mv) in self.per_rank.iter_mut().zip(&moves) {
-                    bd[Phase::PicMove] += self.cost.compute(mv as f64 * self.boost, prof.move_rate);
-                }
-            }
+            Phase::PicMove => self.charge_moves(phase, &rec.charged_transitions[sub]),
             // Poisson_Solve: grid work at paper scale — more cells
             // mean proportionally more non-zeros and (for CG on a 3-D
             // Laplacian) iterations growing with the 1-D resolution
@@ -297,7 +248,7 @@ impl Backend for ModelledBackend {
                 let nodes = (eng.poisson.num_nodes() as f64 * gb) as usize;
                 let iters = (rec.poisson_iters[sub] as f64 * gb.cbrt()).ceil() as usize;
                 let mut t = self.cost.poisson_time(iters, nnz, nodes);
-                if self.decomp == Decomposition::EulLag {
+                if self.balancing.decomp == Decomposition::EulLag {
                     // split mode: the charge reduction preceding the
                     // solve is the gather/scatter halo over the static
                     // field blocks, not the flat allreduce
@@ -309,10 +260,7 @@ impl Backend for ModelledBackend {
             }
             // Reindex: prefix-scan of counts + local renumber.
             Phase::Reindex => {
-                let mut owned = vec![0u64; k];
-                for &c in &eng.particles.cell {
-                    owned[self.owner[c as usize] as usize] += 1;
-                }
+                let owned = self.owned(eng.particles.cell.iter().copied());
                 let scan_latency = (k as f64).log2().max(1.0) * self.cost.alpha();
                 for (bd, &ow) in self.per_rank.iter_mut().zip(&owned) {
                     bd[Phase::Reindex] +=
@@ -329,27 +277,12 @@ impl Backend for ModelledBackend {
     fn exchange(&mut self, _eng: &mut RankEngine, _phase: Phase, _sub: usize) {}
 
     fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
-        self.pending_exchange.take()
+        self.ledger.pending.take()
     }
 
     fn step_comm(&mut self) -> StepComm {
-        let tx = std::mem::take(&mut self.step_tx);
-        let bytes = std::mem::take(&mut self.step_bytes);
-        self.total_tx += tx;
-        self.total_bytes += bytes;
-        let mut uses = [0u64; 4];
-        for (u, (&cur, &mark)) in uses
-            .iter_mut()
-            .zip(self.strategy_uses.iter().zip(&self.uses_mark))
-        {
-            *u = cur - mark;
-        }
-        self.uses_mark = self.strategy_uses;
-        StepComm {
-            transactions: tx,
-            bytes,
-            strategy_uses: uses,
-        }
+        let now = self.ledger.attributed;
+        self.ledger.close_step(now)
     }
 
     fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
@@ -380,73 +313,50 @@ impl Backend for ModelledBackend {
                 poisson: bd.poisson(),
             })
             .collect();
-        let lii = load_imbalance_indicator(&times);
         let mut outcome = StepOutcome {
-            lii,
+            lii: load_imbalance_indicator(&times),
             ..StepOutcome::default()
         };
-        if let Some(rb) = self.rebalancer.as_mut() {
-            let use_km = rb.config.use_km;
-            let (neutral, charged) = eng.counts_per_cell();
-            if rb.wants_samples() {
-                // feed the modelled kernel seconds (deterministic, so
-                // the timer-augmented source stays reproducible here)
-                // and the global work units they covered
-                let sum = |p: Phase| self.per_rank.iter().map(|bd| bd[p]).sum::<f64>();
-                rb.observe(&CostSample {
-                    dsmc_move_seconds: sum(Phase::DsmcMove),
-                    colli_react_seconds: sum(Phase::ColliReact),
-                    pic_move_seconds: sum(Phase::PicMove),
-                    neutral_total: neutral.iter().sum(),
-                    pair_total: neutral.iter().map(|&n| n * n.saturating_sub(1)).sum(),
-                    charged_total: charged.iter().sum(),
-                });
-            }
-            outcome.cost_source = rb.cost_source_name();
-            outcome.decomposition = self.decomp.name();
-            outcome.cost_rates = rb.cost_rates();
-            match rb.step(
-                lii,
-                &self.xadj,
-                &self.adjncy,
-                &neutral,
-                &charged,
-                &self.owner,
-                self.ranks,
-            ) {
-                RebalanceOutcome::Remapped {
-                    new_owner,
-                    migration_volume,
-                    ..
-                } => {
-                    // migration byte matrix: every particle in a cell
-                    // changing hands moves once
-                    let k = self.ranks;
-                    let mut m = vec![vec![0u64; k]; k];
-                    for c in 0..self.owner.len() {
-                        let (o, n) = (self.owner[c] as usize, new_owner[c] as usize);
-                        if o != n {
-                            let load = neutral[c] + charged[c];
-                            m[o][n] += (load as f64 * PACKED_SIZE as f64 * self.boost) as u64;
-                        }
-                    }
-                    let cells_eff = (self.owner.len() as f64 * self.grid_boost) as usize;
-                    let (s, idx) = self.resolve(&m);
-                    let tf = self.traffic_for(s, &m);
-                    let t_reb = self.cost.rebalance_time(cells_eff, &tf, s, use_km);
-                    for bd in self.per_rank.iter_mut() {
-                        bd[Phase::Rebalance] += t_reb;
-                    }
-                    self.note_exchange(idx, &tf);
-                    self.owner = new_owner;
-                    self.rebalance_migrated += migration_volume;
-                    outcome.rebalanced = true;
-                    outcome.migrated = migration_volume;
-                    outcome.remap_seconds = t_reb;
-                }
-                RebalanceOutcome::TooSoon | RebalanceOutcome::Balanced { .. } => {}
+        if self.balancing.rebalancer.is_none() {
+            return outcome;
+        }
+        // modelled kernel seconds: deterministic, so a timer-augmented
+        // cost source stays reproducible here
+        let sum = |p: Phase| self.per_rank.iter().map(|bd| bd[p]).sum::<f64>();
+        let secs = SAMPLED_PHASES.map(sum);
+        let (neutral, charged) = eng.counts_per_cell();
+        let graph = (self.xadj.as_slice(), self.adjncy.as_slice());
+        let counts = (neutral.as_slice(), charged.as_slice());
+        let Some(new_owner) =
+            self.balancing
+                .step(&mut outcome, secs, graph, counts, &self.owner, self.ranks)
+        else {
+            return outcome;
+        };
+        // migration byte matrix: every particle in a cell changing
+        // hands moves once
+        let k = self.ranks;
+        let mut m = vec![vec![0u64; k]; k];
+        for c in 0..self.owner.len() {
+            let (o, n) = (self.owner[c] as usize, new_owner[c] as usize);
+            if o != n {
+                let load = neutral[c] + charged[c];
+                m[o][n] += (load as f64 * PACKED_SIZE as f64 * self.boost) as u64;
             }
         }
+        let cells_eff = (self.owner.len() as f64 * self.grid_boost) as usize;
+        let use_km = self
+            .balancing
+            .rebalancer
+            .as_ref()
+            .is_some_and(|rb| rb.config.use_km);
+        let (s, tf) = self.carry(&m);
+        let t_reb = self.cost.rebalance_time(cells_eff, &tf, s, use_km);
+        for bd in self.per_rank.iter_mut() {
+            bd[Phase::Rebalance] += t_reb;
+        }
+        self.owner = new_owner;
+        outcome.remap_seconds = t_reb;
         outcome
     }
 
@@ -459,22 +369,13 @@ impl Backend for ModelledBackend {
     }
 
     fn share(&self, eng: &RankEngine) -> Vec<f64> {
-        let mut counts = vec![0u64; self.ranks];
-        for &c in &eng.particles.cell {
-            counts[self.owner[c as usize] as usize] += 1;
-        }
         let total = eng.particles.len().max(1) as f64;
-        counts.iter().map(|&c| c as f64 / total).collect()
+        let owned = self.owned(eng.particles.cell.iter().copied());
+        owned.iter().map(|&c| c as f64 / total).collect()
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            strategy_uses: self.strategy_uses,
-            rebalances: self.rebalancer.as_ref().map_or(0, |r| r.rebalance_count),
-            rebalance_migrated: self.rebalance_migrated,
-            transactions: self.total_tx,
-            bytes: self.total_bytes,
-        }
+        self.ledger.stats(&self.balancing)
     }
 }
 
@@ -497,11 +398,7 @@ impl ClusterSim {
     /// the number of grid cells").
     pub fn new(run: &RunConfig, profile: MachineProfile) -> Self {
         let state = RankEngine::new(run.sim.clone());
-        let (xadj, adjncy) = state.nm.coarse.cell_graph();
-        let g = Graph::new(xadj.clone(), adjncy.clone(), vec![1; state.nm.num_coarse()]);
-        let ncoarse = state.nm.num_coarse();
-        let owner = part_graph_kway(&g, run.ranks, KwayOptions::default());
-        let backend = ModelledBackend::new(run, profile, ncoarse, owner, xadj, adjncy);
+        let backend = ModelledBackend::new(run, profile, &state.nm);
         ClusterSim {
             state,
             backend,
@@ -536,54 +433,13 @@ impl ClusterSim {
     }
 
     /// Run `steps` DSMC iterations, returning the aggregate report.
+    /// Repeated calls continue the run: each report traces its own
+    /// steps, while its traffic, strategy and rebalance totals stay
+    /// cumulative over every call.
     pub fn run(&mut self, steps: usize) -> RunReport {
-        let mut builder = ReportBuilder::new();
-        let sink = self.obs.trace.make_sink().expect("open trace sink");
-        let mut rec = obs::Recorder::new(self.obs.metrics.as_ref(), sink)
-            .with_time_average(self.obs.avg_window);
-        rec.meta(self.backend.ranks, steps);
-        for _ in 0..steps {
-            let idx = self.state.step_count;
-            {
-                let mut observer = obs::Tee(&mut builder, &mut rec);
-                self.pipeline
-                    .run_step(&mut self.state, &mut self.backend, &mut observer, idx);
-            }
-            // read-only diagnostic tap, identical to run_serial's: with
-            // avg_window == 0 no sample is ever computed
-            if self.obs.avg_window > 0 {
-                let (neutral, _) = self.state.counts_per_cell();
-                let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-                let density = crate::diag::number_density(
-                    &counts,
-                    &self.state.nm.coarse.volumes,
-                    self.state.species.get(self.state.h_id).weight,
-                );
-                rec.field_sample("density_h", &density);
-                rec.field_sample("phi", self.state.poisson.phi());
-            }
-        }
-        rec.finish();
-        let stats = self.backend.stats();
-        let mut report = builder.finish();
-        report.population = self.state.particles.len();
-        report.strategy_uses = stats.strategy_uses;
-        report.rebalances = stats.rebalances;
-        report.rebalance_migrated = stats.rebalance_migrated;
-        report.transactions = stats.transactions;
-        report.bytes = stats.bytes;
-        let (neutral, _) = self.state.counts_per_cell();
-        let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-        report.density_h = crate::diag::number_density(
-            &counts,
-            &self.state.nm.coarse.volumes,
-            self.state.species.get(self.state.h_id).weight,
-        );
-        if let Some(avg) = rec.time_average() {
-            report.density_h_avg = avg.mean("density_h").unwrap_or_default();
-            report.phi_avg = avg.mean("phi").unwrap_or_default();
-        }
-        report
+        let ranks = self.backend.ranks;
+        self.pipeline
+            .run_whole(&mut self.state, &mut self.backend, &self.obs, ranks, steps)
     }
 }
 

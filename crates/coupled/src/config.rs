@@ -322,10 +322,11 @@ pub struct RunConfig {
     /// Number of (virtual or threaded) ranks.
     pub ranks: usize,
     /// Ranks per node for [`Strategy::Hier`]'s two-level aggregation
-    /// (consecutive ranks share a node). 0 = auto: split the world
-    /// into two equal halves ([`vmpi::NodeMap::default_for`]). Like
-    /// the strategy itself, the grouping only changes the message
-    /// schedule, never the delivered buffers.
+    /// on the threaded backend (consecutive ranks share a node). 0 =
+    /// auto: split the world into two equal halves
+    /// ([`vmpi::NodeMap::default_for`]). [`Strategy::Auto`] prices
+    /// Hier on the same map. Like the strategy itself, the grouping
+    /// only changes the message schedule, never the delivered buffers.
     pub ranks_per_node: usize,
     /// Overlap the hierarchical exchange with interior work: after
     /// the phase-1 sends are in flight, the rank compacts its

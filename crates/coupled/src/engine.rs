@@ -22,23 +22,51 @@
 //!   [`crate::report::ReportBuilder`] uses it to assemble the shared
 //!   [`crate::report::RunReport`].
 
-use crate::config::SimConfig;
-use crate::report::StepTrace;
+use crate::config::{ObsConfig, RunConfig, SimConfig};
+use crate::report::{ReportBuilder, RunReport, StepTrace};
 use crate::state::StepRecord;
 use crate::timers::{Breakdown, Phase};
+use balance::{CostSample, RebalanceOutcome, Rebalancer};
 use dsmc::{
     move_particles_pooled, ChemistryModel, CollisionEvent, CollisionModel, CrossCollisionModel,
     Injector, Pump,
 };
 use kernels::Pool;
 use mesh::NestedMesh;
-use obs::{ExchangeEvent, NullObserver, Observer, RebalanceEvent, SpanTimer};
+use obs::{
+    ExchangeEvent, NullObserver, Observer, RebalanceEvent, Recorder, Registry, SpanTimer, Tee,
+};
 use particles::{ParticleBuffer, SortScratch, SpeciesTable};
+use partition::{part_graph_kway, Decomposition, Graph, KwayOptions};
 use pic::{accelerate_charged_pooled, deposit_charge_pooled, ElectricField, PoissonSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparse::KrylovOptions;
 use std::sync::Arc;
+use vmpi::Strategy;
+
+/// The mesh hierarchy and species table `(nm, species, h_id, hp_id)`
+/// every driver builds before anything else.
+pub(crate) fn build_world(sim: &SimConfig) -> (Arc<NestedMesh>, Arc<SpeciesTable>, u8, u8) {
+    let spec = sim.nozzle;
+    let nm = Arc::new(NestedMesh::from_coarse(spec.generate(), move |c, n| {
+        spec.classify(c, n)
+    }));
+    let (species, h_id, hp_id) = SpeciesTable::hydrogen_plasma(sim.weight_h, sim.weight_hplus);
+    (nm, Arc::new(species), h_id, hp_id)
+}
+
+/// The coarse cell graph `(xadj, adjncy)` and the seed decomposition
+/// of a `ranks`-way run, built by the decomposed drivers only:
+/// unweighted k-way partitioning (paper §V-B: "we use METIS to
+/// decompose the grid ... solely according to the number of grid
+/// cells").
+pub(crate) fn seed_partition(nm: &NestedMesh, ranks: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (xadj, adjncy) = nm.coarse.cell_graph();
+    let g = Graph::new(xadj.clone(), adjncy.clone(), vec![1; nm.num_coarse()]);
+    let owner = part_graph_kway(&g, ranks, KwayOptions::default());
+    (xadj, adjncy, owner)
+}
 
 /// Per-rank scratch state for the exchange phases, reused across
 /// steps so the steady state is allocation-free: the keep mask and
@@ -102,19 +130,13 @@ impl RankEngine {
     /// full injector, serial kernel pool, RNG seeded from
     /// `config.seed`.
     pub fn new(config: SimConfig) -> Self {
-        let spec = config.nozzle;
-        let coarse = spec.generate();
-        let nm = Arc::new(NestedMesh::from_coarse(coarse, move |c, n| {
-            spec.classify(c, n)
-        }));
-        let (species, h_id, hp_id) =
-            SpeciesTable::hydrogen_plasma(config.weight_h, config.weight_hplus);
+        let (nm, species, h_id, hp_id) = build_world(&config);
         let injector = Some(Injector::new(&nm.coarse));
         let seed = config.seed;
         Self::assemble(
             config,
             nm,
-            Arc::new(species),
+            species,
             h_id,
             hp_id,
             injector,
@@ -237,6 +259,30 @@ impl RankEngine {
             }
         }
         (neutral, charged)
+    }
+
+    /// Neutral (H) particles per coarse cell, as the `f64` field the
+    /// density diagnostics reduce and scale.
+    pub fn neutral_counts(&self) -> Vec<f64> {
+        self.counts_per_cell().0.iter().map(|&c| c as f64).collect()
+    }
+
+    /// H number density per coarse cell from per-cell neutral counts
+    /// (this engine's own, or the world's reduced ones on a rank).
+    pub fn density_h(&self, neutral: &[f64]) -> Vec<f64> {
+        let weight = self.species.get(self.h_id).weight;
+        crate::diag::number_density(neutral, &self.nm.coarse.volumes, weight)
+    }
+
+    /// Export the kernel pool's per-worker busy seconds as gauges
+    /// qualified by `rank` (rank threads share one registry).
+    pub(crate) fn export_pool_busy(&self, metrics: Option<&Registry>, rank: usize) {
+        if let Some(reg) = metrics {
+            for (w, b) in self.pool.busy_seconds().iter().enumerate() {
+                reg.gauge(&format!("kernels.rank{rank}.worker{w}.busy_seconds"))
+                    .set(*b);
+            }
+        }
     }
 
     /// Execute one full DSMC iteration through the unified pipeline
@@ -535,6 +581,165 @@ pub struct BackendStats {
     pub bytes: u64,
 }
 
+impl BackendStats {
+    /// Fold the counters into a driver's report.
+    pub(crate) fn fill(&self, report: &mut RunReport) {
+        report.transactions = self.transactions;
+        report.bytes = self.bytes;
+        report.rebalances = self.rebalances;
+        report.rebalance_migrated = self.rebalance_migrated;
+        report.strategy_uses = self.strategy_uses;
+    }
+}
+
+/// The communication ledger both decomposed backends keep: exchanges
+/// per concrete strategy, the exchange event in flight, and
+/// telescoping per-step traffic marks whose deltas sum to the run
+/// totals exactly. The threaded backend closes steps at world-counter
+/// readings, the modelled one at its cumulative protocol predictions
+/// ([`CommLedger::attributed`]).
+#[derive(Debug, Default)]
+pub(crate) struct CommLedger {
+    strategy_uses: [u64; 4],
+    uses_mark: [u64; 4],
+    /// The last carried exchange, until the pipeline takes it.
+    pub(crate) pending: Option<ExchangeInfo>,
+    /// Σ `(transactions, bytes)` attributed to carried exchanges.
+    pub(crate) attributed: (u64, u64),
+    /// Cumulative `(transactions, bytes)` reading at the last step
+    /// boundary.
+    mark: (u64, u64),
+    /// Sum of the per-step deltas = the run totals.
+    total: (u64, u64),
+}
+
+impl CommLedger {
+    /// Count one exchange carried by `s` with its attributed traffic
+    /// `info`, held for the pipeline's next exchange event.
+    pub(crate) fn carried(&mut self, s: Strategy, info: ExchangeInfo) {
+        let strategy = s.concrete_index();
+        self.strategy_uses[strategy] += 1;
+        self.attributed.0 += info.transactions;
+        self.attributed.1 += info.bytes;
+        self.pending = Some(ExchangeInfo { strategy, ..info });
+    }
+
+    /// Close the step at the cumulative traffic reading `now`.
+    pub(crate) fn close_step(&mut self, now: (u64, u64)) -> StepComm {
+        let transactions = now.0.saturating_sub(self.mark.0);
+        let bytes = now.1.saturating_sub(self.mark.1);
+        self.mark = now;
+        self.total.0 += transactions;
+        self.total.1 += bytes;
+        let mut strategy_uses = self.strategy_uses;
+        for (u, mark) in strategy_uses.iter_mut().zip(self.uses_mark) {
+            *u -= mark;
+        }
+        self.uses_mark = self.strategy_uses;
+        StepComm {
+            transactions,
+            bytes,
+            strategy_uses,
+        }
+    }
+
+    /// The run's cumulative counters, with the balancer's.
+    pub(crate) fn stats(&self, balancing: &Balancing) -> BackendStats {
+        BackendStats {
+            strategy_uses: self.strategy_uses,
+            rebalances: balancing
+                .rebalancer
+                .as_ref()
+                .map_or(0, |r| r.rebalance_count),
+            rebalance_migrated: balancing.migrated,
+            transactions: self.total.0,
+            bytes: self.total.1,
+        }
+    }
+}
+
+/// The kernel phases whose world-wide seconds a sampling cost source
+/// observes, in [`CostSample`] order.
+pub(crate) const SAMPLED_PHASES: [Phase; 3] = [Phase::DsmcMove, Phase::ColliReact, Phase::PicMove];
+
+/// The rebalance tail both decomposed backends share: the armed
+/// balancer (Algorithm 1), the decomposition mode, and the particles
+/// its remaps migrated.
+pub(crate) struct Balancing {
+    pub(crate) rebalancer: Option<Rebalancer>,
+    pub(crate) decomp: Decomposition,
+    migrated: u64,
+}
+
+impl Balancing {
+    pub(crate) fn new(run: &RunConfig) -> Self {
+        Balancing {
+            rebalancer: run.rebalance.map(|mut rc| {
+                if run.decomposition == Decomposition::EulLag {
+                    // the field grid is statically block-partitioned
+                    // under the split mode, so the balancer weighs
+                    // particle work only
+                    rc.wlm.w_cell = 0;
+                }
+                Rebalancer::new(rc)
+            }),
+            decomp: run.decomposition,
+            migrated: 0,
+        }
+    }
+
+    /// Whether the cost source consumes measured kernel seconds.
+    pub(crate) fn wants_samples(&self) -> bool {
+        self.rebalancer
+            .as_ref()
+            .is_some_and(|rb| rb.wants_samples())
+    }
+
+    /// One balancer step on `outcome.lii` over the world's per-cell
+    /// `(neutral, charged)` counts: feed a sampling cost source the
+    /// world's [`SAMPLED_PHASES`] seconds with the work units they
+    /// covered, stamp the cost-source fields of `outcome`, and on a
+    /// remap count the migration. Returns the new ownership when the
+    /// decomposition changed.
+    pub(crate) fn step(
+        &mut self,
+        outcome: &mut StepOutcome,
+        phase_secs: [f64; 3],
+        (xadj, adjncy): (&[u32], &[u32]),
+        (neutral, charged): (&[u64], &[u64]),
+        owner: &[u32],
+        ranks: usize,
+    ) -> Option<Vec<u32>> {
+        let rb = self.rebalancer.as_mut()?;
+        if rb.wants_samples() {
+            rb.observe(&CostSample {
+                dsmc_move_seconds: phase_secs[0],
+                colli_react_seconds: phase_secs[1],
+                pic_move_seconds: phase_secs[2],
+                neutral_total: neutral.iter().sum(),
+                pair_total: neutral.iter().map(|&n| n * n.saturating_sub(1)).sum(),
+                charged_total: charged.iter().sum(),
+            });
+        }
+        outcome.cost_source = rb.cost_source_name();
+        outcome.decomposition = self.decomp.name();
+        outcome.cost_rates = rb.cost_rates();
+        match rb.step(outcome.lii, xadj, adjncy, neutral, charged, owner, ranks) {
+            RebalanceOutcome::Remapped {
+                new_owner,
+                migration_volume,
+                ..
+            } => {
+                self.migrated += migration_volume;
+                outcome.rebalanced = true;
+                outcome.migrated = migration_volume;
+                Some(new_owner)
+            }
+            RebalanceOutcome::TooSoon | RebalanceOutcome::Balanced { .. } => None,
+        }
+    }
+}
+
 /// Execution context of the pipeline: where time is accounted, how
 /// particles and charge move between ranks, and what the Rebalance
 /// phase does. The physics phases themselves live on [`RankEngine`]
@@ -738,6 +943,47 @@ impl StepPipeline {
         }
         observer.step(step_index, &trace);
         (rec, trace, bd)
+    }
+
+    /// Drive a whole-domain engine (the serial and modelled drivers)
+    /// for `steps` steps under the run's observability and assemble
+    /// the report: final diagnostics, the backend's counters and,
+    /// with `avg_window > 0`, the trailing time averages. Step indices
+    /// continue from `eng.step_count`, so a repeated call resumes the
+    /// run and the backend counters in its report stay cumulative.
+    pub(crate) fn run_whole<B: Backend>(
+        &self,
+        eng: &mut RankEngine,
+        be: &mut B,
+        obs: &ObsConfig,
+        ranks: usize,
+        steps: usize,
+    ) -> RunReport {
+        let mut builder = ReportBuilder::new();
+        let sink = obs.trace.make_sink().expect("open trace sink");
+        let mut rec = Recorder::new(obs.metrics.as_ref(), sink).with_time_average(obs.avg_window);
+        rec.meta(ranks, steps);
+        for _ in 0..steps {
+            let step = eng.step_count;
+            self.run_step(eng, be, &mut Tee(&mut builder, &mut rec), step);
+            // time-averaged diagnostics are read-only taps: sampling
+            // never perturbs the physics, and with avg_window == 0 the
+            // samples are dropped before they are even computed
+            if rec.time_average().is_some() {
+                rec.field_sample("density_h", &eng.density_h(&eng.neutral_counts()));
+                rec.field_sample("phi", eng.poisson.phi());
+            }
+        }
+        rec.finish();
+        let mut report = builder.finish();
+        report.density_h = eng.density_h(&eng.neutral_counts());
+        report.population = eng.particles.len();
+        be.stats().fill(&mut report);
+        if let Some(avg) = rec.time_average() {
+            report.density_h_avg = avg.mean("density_h").unwrap_or_default();
+            report.phi_avg = avg.mean("phi").unwrap_or_default();
+        }
+        report
     }
 }
 

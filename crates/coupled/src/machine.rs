@@ -123,12 +123,18 @@ impl Placement {
     }
 }
 
-/// The cost model for one run: profile + placement + rank count.
-#[derive(Debug, Clone, Copy)]
+/// The cost model for one run: profile + placement + rank count +
+/// the run's one rank → node map.
+#[derive(Debug, Clone)]
 pub struct CostModel {
     pub profile: MachineProfile,
     pub placement: Placement,
     pub ranks: usize,
+    /// The grouping [`Strategy::Hier`] is priced on — and, under the
+    /// threaded backend, the one it runs on. [`CostModel::new`] groups
+    /// contiguous blocks of `cores_per_node` ranks, the way schedulers
+    /// hand out rank ranges.
+    pub nodes: NodeMap,
 }
 
 impl CostModel {
@@ -137,6 +143,7 @@ impl CostModel {
             profile,
             placement: Placement::InnerFrame,
             ranks,
+            nodes: NodeMap::grouped(ranks, profile.cores_per_node),
         }
     }
 
@@ -217,29 +224,17 @@ impl CostModel {
         }
     }
 
-    /// The rank → node grouping this machine implies for the
-    /// hierarchical strategy: contiguous blocks of `cores_per_node`
-    /// ranks per node, the way schedulers hand out rank ranges.
-    pub fn node_map_for(&self, ranks: usize) -> NodeMap {
-        NodeMap::grouped(ranks, self.profile.cores_per_node)
-    }
-
     /// Modelled wall time of one exchange of the migration byte matrix
-    /// `m` under `strategy` (traffic prediction + α–β charge). The
-    /// hierarchical strategy is priced with this machine's
-    /// [`CostModel::node_map_for`] grouping, not the two-node default.
+    /// `m` under `strategy` (traffic prediction + α–β charge), with
+    /// the hierarchical strategy aggregated over [`CostModel::nodes`].
     pub fn exchange_time_for(&self, strategy: Strategy, m: &[Vec<u64>]) -> f64 {
-        let t = match strategy {
-            Strategy::Hier => vmpi::traffic_hier(&self.node_map_for(m.len()), m),
-            _ => vmpi::traffic(strategy, m),
-        };
-        self.exchange_time(strategy, &t)
+        self.exchange_time(strategy, &vmpi::traffic(strategy, &self.nodes, m))
     }
 
     /// The per-step Auto decision rule (§IV-B addendum): score the
     /// concrete strategies on the rank-0-reduced migration byte
-    /// matrix with this machine's α/β parameters and return the
-    /// cheapest. Ties break toward the earlier entry of
+    /// matrix with this machine's α/β parameters and node map, and
+    /// return the cheapest. Ties break toward the earlier entry of
     /// [`Strategy::CONCRETE`], so the rule is deterministic.
     pub fn pick_strategy(&self, m: &[Vec<u64>]) -> Strategy {
         Strategy::CONCRETE
@@ -335,27 +330,15 @@ mod tests {
         // many particles, few ranks: distributed faster
         let few = CostModel::new(MachineProfile::tianhe2(), 16);
         let m = uniform_matrix(16, 2_000_000);
-        let dc = few.exchange_time(
-            Strategy::Distributed,
-            &vmpi::traffic(Strategy::Distributed, &m),
-        );
-        let cc = few.exchange_time(
-            Strategy::Centralized,
-            &vmpi::traffic(Strategy::Centralized, &m),
-        );
+        let dc = few.exchange_time_for(Strategy::Distributed, &m);
+        let cc = few.exchange_time_for(Strategy::Centralized, &m);
         assert!(dc < cc, "dc {dc} cc {cc}");
 
         // few particles, many ranks: centralized faster
         let many = CostModel::new(MachineProfile::bscc(), 768);
         let m = uniform_matrix(768, 20);
-        let dc = many.exchange_time(
-            Strategy::Distributed,
-            &vmpi::traffic(Strategy::Distributed, &m),
-        );
-        let cc = many.exchange_time(
-            Strategy::Centralized,
-            &vmpi::traffic(Strategy::Centralized, &m),
-        );
+        let dc = many.exchange_time_for(Strategy::Distributed, &m);
+        let cc = many.exchange_time_for(Strategy::Centralized, &m);
         assert!(cc < dc, "cc {cc} dc {dc}");
     }
 
@@ -433,7 +416,10 @@ mod tests {
     fn auto_has_no_cost_of_its_own() {
         let cm = CostModel::new(MachineProfile::tianhe2(), 8);
         let m = uniform_matrix(8, 100);
-        cm.exchange_time(Strategy::Auto, &vmpi::traffic(Strategy::Distributed, &m));
+        cm.exchange_time(
+            Strategy::Auto,
+            &vmpi::traffic(Strategy::Distributed, &cm.nodes, &m),
+        );
     }
 
     #[test]
@@ -456,10 +442,7 @@ mod tests {
             cm.placement = p;
             let m = uniform_matrix(96, 10_000);
             // a step dominated by compute with some exchange
-            1.0 + cm.exchange_time(
-                Strategy::Distributed,
-                &vmpi::traffic(Strategy::Distributed, &m),
-            )
+            1.0 + cm.exchange_time_for(Strategy::Distributed, &m)
         };
         let inner = mk(Placement::InnerFrame);
         let inter = mk(Placement::InterRack);
@@ -475,7 +458,7 @@ mod tests {
     fn rebalance_km_overhead_is_small() {
         let cm = CostModel::new(MachineProfile::tianhe2(), 96);
         let m = uniform_matrix(96, 1000);
-        let tr = vmpi::traffic(Strategy::Distributed, &m);
+        let tr = vmpi::traffic(Strategy::Distributed, &cm.nodes, &m);
         let with = cm.rebalance_time(100_000, &tr, Strategy::Distributed, true);
         let without = cm.rebalance_time(100_000, &tr, Strategy::Distributed, false);
         // KM itself adds well under 10% here

@@ -45,17 +45,18 @@
 use crate::checkpoint::{checkpoint_rank, restore_rank, CheckpointError};
 use crate::config::{FaultPolicy, RunConfig};
 use crate::engine::{
-    Backend, BackendStats, ExchangeInfo, ExchangeScratch, RankEngine, SerialBackend, StepComm,
-    StepOutcome, StepPipeline, WallClock,
+    build_world, seed_partition, Backend, BackendStats, Balancing, CommLedger, ExchangeInfo,
+    ExchangeScratch, RankEngine, SerialBackend, StepComm, StepOutcome, StepPipeline, WallClock,
+    SAMPLED_PHASES,
 };
 use crate::machine::{CostModel, MachineProfile};
 use crate::report::{ReportBuilder, RunReport};
 use crate::state::StepRecord;
 use crate::timers::{Breakdown, Phase};
-use balance::{load_imbalance_indicator, CostSample, RankTimes, RebalanceOutcome, Rebalancer};
+use balance::{load_imbalance_indicator, RankTimes};
 use dsmc::Injector;
 use mesh::NestedMesh;
-use obs::{Observer as _, Recorder, Tee};
+use obs::{Recorder, Tee};
 use particles::{pack_index, unpack_all, ParticleBuffer, SpeciesTable};
 use partition::{block_ranges, Decomposition};
 use std::sync::{Arc, Mutex};
@@ -126,34 +127,6 @@ enum RankError {
 /// step).
 type CheckpointStore = Vec<Mutex<Option<(usize, Vec<u8>)>>>;
 
-/// Fault-injection / recovery context one attempt runs under.
-struct FaultCtx<'a> {
-    chaos: Option<&'a Arc<ChaosWorld>>,
-    reliable: Option<&'a Arc<ReliableWorld>>,
-    /// Replays performed before this attempt.
-    recoveries: usize,
-    store: &'a CheckpointStore,
-}
-
-impl FaultCtx<'_> {
-    /// Whether faults were possible this run (a plan was installed).
-    fn chaotic(&self) -> bool {
-        self.chaos.is_some()
-    }
-
-    fn faults_injected(&self) -> u64 {
-        self.chaos.map_or(0, |c| c.injected_total())
-    }
-
-    fn retries(&self) -> u64 {
-        self.reliable.map_or(0, |r| r.retries())
-    }
-
-    fn dedup_dropped(&self) -> u64 {
-        self.reliable.map_or(0, |r| r.dedup_dropped())
-    }
-}
-
 /// Run the coupled solver on `run.ranks` OS threads for `run.steps`
 /// DSMC iterations, panicking on failure (the historical signature;
 /// use [`run_threaded_result`] to handle faults).
@@ -213,7 +186,7 @@ pub struct EngineSession {
     species: Arc<SpeciesTable>,
     h_id: u8,
     hp_id: u8,
-    owner0: Arc<Vec<u32>>,
+    owner0: Vec<u32>,
     xadj: Vec<u32>,
     adjncy: Vec<u32>,
     chaos: Option<Arc<ChaosWorld>>,
@@ -239,24 +212,9 @@ impl EngineSession {
     /// table, seed decomposition, fault worlds and empty checkpoint
     /// slots. No simulation work happens until [`EngineSession::attempt`].
     pub fn new(run: &RunConfig) -> Self {
-        let spec = run.sim.nozzle;
-        let coarse = spec.generate();
-        let nm = Arc::new(NestedMesh::from_coarse(coarse, move |c, n| {
-            spec.classify(c, n)
-        }));
-        let (species, h_id, hp_id) =
-            SpeciesTable::hydrogen_plasma(run.sim.weight_h, run.sim.weight_hplus);
-        let species = Arc::new(species);
-
+        let (nm, species, h_id, hp_id) = build_world(&run.sim);
         // initial unweighted decomposition, shared by all ranks
-        let (xadj, adjncy) = nm.coarse.cell_graph();
-        let g = partition::Graph::new(xadj.clone(), adjncy.clone(), vec![1; nm.num_coarse()]);
-        let owner0 = Arc::new(partition::part_graph_kway(
-            &g,
-            run.ranks,
-            partition::KwayOptions::default(),
-        ));
-
+        let (xadj, adjncy, owner0) = seed_partition(&nm, run.ranks);
         let chaos = run
             .fault_plan
             .clone()
@@ -308,26 +266,12 @@ impl EngineSession {
     /// and [`EngineSession::prepare_retry`] to replay.
     pub fn attempt(&mut self) -> Result<RunReport, RunError> {
         self.attempts += 1;
-        let run = &self.run;
-        let ctx = FaultCtx {
-            chaos: self.chaos.as_ref(),
-            reliable: self.reliable.as_ref(),
-            recoveries: self.recoveries,
-            store: &self.store,
-        };
-        let (nm, species, owner0) = (&self.nm, &self.species, &self.owner0);
-        let (h_id, hp_id) = (self.h_id, self.hp_id);
-        let (xadj, adjncy) = (&self.xadj, &self.adjncy);
-        let results = run_world(run.ranks, |comm| match (&self.chaos, &self.reliable) {
+        let results = run_world(self.run.ranks, |comm| match (&self.chaos, &self.reliable) {
             (Some(cw), Some(rw)) => {
                 let comm = ReliableComm::new(ChaosComm::new(comm, cw.clone()), rw.clone());
-                rank_main(
-                    &comm, run, nm, species, h_id, hp_id, owner0, xadj, adjncy, &ctx,
-                )
+                rank_main(&comm, self)
             }
-            _ => rank_main(
-                &comm, run, nm, species, h_id, hp_id, owner0, xadj, adjncy, &ctx,
-            ),
+            _ => rank_main(&comm, self),
         });
 
         let mut failure: Option<(usize, usize, CommError)> = None;
@@ -416,7 +360,8 @@ fn pack_emigrants(
 /// Resolve [`Strategy::Auto`] for one exchange: every rank contributes
 /// its per-destination byte counts (8·ranks bytes), rank 0 assembles
 /// the migration byte matrix and scores the concrete strategies with
-/// the cost model, and the 1-byte pick is broadcast. The pick only
+/// the cost model — Hier on the node map the exchange runs on — and
+/// the 1-byte pick is broadcast. The pick only
 /// changes the message schedule — every strategy delivers identical
 /// buffers — so the machine profile behind `cost` can never affect
 /// physics.
@@ -438,20 +383,11 @@ fn resolve_strategy<C: Comm>(
             .iter()
             .map(|r| {
                 r.chunks_exact(8)
-                    .map(|c| {
-                        let mut w = [0u8; 8];
-                        w.copy_from_slice(c);
-                        u64::from_le_bytes(w)
-                    })
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
                     .collect()
             })
             .collect();
-        let pick = cost.pick_strategy(&matrix);
-        let idx = Strategy::CONCRETE
-            .iter()
-            .position(|&s| s == pick)
-            .expect("pick is concrete");
-        vec![idx as u8]
+        vec![cost.pick_strategy(&matrix).concrete_index() as u8]
     });
     match broadcast(comm, 0, choice)?.first() {
         Some(&i) if (i as usize) < Strategy::CONCRETE.len() => Ok(Strategy::CONCRETE[i as usize]),
@@ -461,40 +397,26 @@ fn resolve_strategy<C: Comm>(
     }
 }
 
-/// What [`migrate`] may defer into the overlapped send window.
-#[derive(Clone, Copy)]
-struct MigrateFlags {
-    /// Run compaction (and pre-bucketing) inside the hierarchical
-    /// exchange's post-isend window ([`RunConfig::overlap`]).
-    overlap: bool,
-    /// Pre-build the collide cell lists for the immediately following
-    /// collide pass (DSMC exchange only).
-    prebucket: bool,
-}
-
-/// One full particle migration: pack emigrants, resolve the strategy,
-/// run the wire exchange through the reused scratch buffers, unpack
-/// immigrants. Returns the concrete strategy that carried it.
+/// One full particle migration under `be`'s strategy and ownership:
+/// pack emigrants, resolve the strategy, run the wire exchange through
+/// the reused scratch buffers, unpack immigrants. Returns the concrete
+/// strategy that carried it.
 ///
-/// Under [`Strategy::Hier`] with `overlap` set, the buffer compaction
-/// (and, for the DSMC exchange, the collide pre-bucketing — set
-/// `prebucket`) runs inside [`exchange_hier_overlapped`]'s window:
-/// after the phase-1 nonblocking sends are posted, before the first
-/// fence-and-drain. Only RNG-free work moves into the window, so the
-/// delivered state is bitwise identical to the sequential path either
-/// way (compaction order relative to the wire is unobservable, and
-/// pre-built collide buckets list the same indices in the same
-/// order).
+/// Under [`Strategy::Hier`] with [`RunConfig::overlap`] set, the
+/// buffer compaction (and, for the DSMC exchange, the collide
+/// pre-bucketing — set `prebucket`) runs inside
+/// [`exchange_hier_overlapped`]'s window: after the phase-1
+/// nonblocking sends are posted, before the first fence-and-drain.
+/// Only RNG-free work moves into the window, so the delivered state
+/// is bitwise identical to the sequential path either way (compaction
+/// order relative to the wire is unobservable, and pre-built collide
+/// buckets list the same indices in the same order).
 fn migrate<C: Comm>(
-    comm: &C,
-    configured: Strategy,
-    cost: &CostModel,
-    nodes: &NodeMap,
-    flags: MigrateFlags,
+    be: &ThreadedBackend<'_, C>,
     eng: &mut RankEngine,
-    owner: &[u32],
+    prebucket: bool,
 ) -> CommResult<Strategy> {
-    let MigrateFlags { overlap, prebucket } = flags;
+    let (comm, cost) = (be.comm, &be.cost);
     let me = comm.rank();
     let RankEngine {
         particles,
@@ -503,20 +425,20 @@ fn migrate<C: Comm>(
         h_id,
         ..
     } = eng;
-    let emigrants = pack_emigrants(particles, owner, me, comm.size(), exch);
-    let strategy = resolve_strategy(comm, configured, &exch.outgoing, cost)?;
+    let emigrants = pack_emigrants(particles, &be.owner, me, comm.size(), exch);
+    let strategy = resolve_strategy(comm, be.strategy, &exch.outgoing, cost)?;
     let ExchangeScratch {
         keep,
         outgoing,
         incoming,
     } = exch;
-    let overlapped = strategy == Strategy::Hier && overlap;
+    let overlapped = strategy == Strategy::Hier && be.overlap;
     if !overlapped && emigrants > 0 {
         particles.compact(keep);
     }
     if strategy == Strategy::Hier {
         let do_prebucket = overlapped && prebucket;
-        exchange_hier_overlapped(comm, nodes, outgoing, incoming, || {
+        exchange_hier_overlapped(comm, &cost.nodes, outgoing, incoming, || {
             if overlapped {
                 if emigrants > 0 {
                     particles.compact(keep);
@@ -534,23 +456,12 @@ fn migrate<C: Comm>(
             collisions.extend_bucket(particles, from, *h_id);
         }
     } else {
-        exchange_into(comm, strategy, outgoing, incoming)?;
+        exchange_into(comm, strategy, &cost.nodes, outgoing, incoming)?;
         for inc in incoming.iter() {
             unpack_all(inc, particles);
         }
     }
     Ok(strategy)
-}
-
-/// Tally one resolved exchange into the CONCRETE-ordered counters,
-/// returning the concrete index.
-fn tally(uses: &mut [u64; 4], s: Strategy) -> usize {
-    let idx = Strategy::CONCRETE
-        .iter()
-        .position(|&c| c == s)
-        .expect("resolved strategy is concrete");
-    uses[idx] += 1;
-    idx
 }
 
 /// Real-communication backend: `vmpi` collectives between the phases,
@@ -569,39 +480,27 @@ pub struct ThreadedBackend<'a, C: Comm> {
     /// Parameters for the Auto decision rule. The threaded backend
     /// has no real α/β of its own, so the Tianhe-2 profile is the
     /// documented default; see [`resolve_strategy`] for why this can
-    /// never change the physics.
+    /// never change the physics. Its node map is the one Hier runs
+    /// on (from [`RunConfig::ranks_per_node`]; 0 = two equal halves),
+    /// so Auto prices Hier on the grouping it would execute.
     cost: CostModel,
-    /// Node grouping for [`Strategy::Hier`] (from
-    /// [`RunConfig::ranks_per_node`]; 0 = two equal halves).
-    nodes: NodeMap,
     /// Overlap compaction/pre-bucketing with the hierarchical
     /// exchange (from [`RunConfig::overlap`]).
     overlap: bool,
     owner: Vec<u32>,
     xadj: &'a [u32],
     adjncy: &'a [u32],
-    /// Unified particle/field ownership (default) or the split
-    /// Eulerian/Lagrangian mode: the field grid stays statically
+    /// The balancer and decomposition mode. Under the split
+    /// Eulerian/Lagrangian mode the field grid stays statically
     /// block-partitioned and the charge reduction becomes a per-owner
     /// gather/scatter (see [`Backend::reduce_charge`]).
-    decomp: Decomposition,
-    rebalancer: Option<Rebalancer>,
+    balancing: Balancing,
     clock: WallClock,
-    strategy_uses: [u64; 4],
-    rebalance_migrated: u64,
     /// Per-rank populations from the Reindex allgather (reused for
     /// the step trace's share).
     pops: Vec<u64>,
-    /// World counter values at the last step boundary (the per-step
-    /// deltas telescope, so trace sums equal the run totals exactly).
-    comm_mark: (u64, u64),
-    uses_mark: [u64; 4],
-    /// Accumulated per-step deltas = run totals for the report.
-    total_tx: u64,
-    total_bytes: u64,
-    /// Attribution of the exchange in flight, for the pipeline's
-    /// exchange events.
-    pending_exchange: Option<ExchangeInfo>,
+    /// Fed world-counter readings at each step boundary.
+    ledger: CommLedger,
     /// First communication error observed; once set, comm-touching
     /// calls short-circuit (the rank's state is already condemned).
     fault: Option<CommError>,
@@ -615,38 +514,25 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         xadj: &'a [u32],
         adjncy: &'a [u32],
     ) -> Self {
+        let n = comm.size();
         ThreadedBackend {
             comm,
             strategy: run.strategy,
-            cost: CostModel::new(MachineProfile::tianhe2(), comm.size()),
-            nodes: if run.ranks_per_node == 0 {
-                NodeMap::default_for(comm.size())
-            } else {
-                NodeMap::grouped(comm.size(), run.ranks_per_node)
+            cost: CostModel {
+                nodes: match run.ranks_per_node {
+                    0 => NodeMap::default_for(n),
+                    rpn => NodeMap::grouped(n, rpn),
+                },
+                ..CostModel::new(MachineProfile::tianhe2(), n)
             },
             overlap: run.overlap,
             owner: owner0.to_vec(),
             xadj,
             adjncy,
-            decomp: run.decomposition,
-            rebalancer: run.rebalance.map(|mut rc| {
-                if run.decomposition == Decomposition::EulLag {
-                    // the field grid is statically block-partitioned
-                    // under the split mode, so the balancer weighs
-                    // particle work only
-                    rc.wlm.w_cell = 0;
-                }
-                Rebalancer::new(rc)
-            }),
+            balancing: Balancing::new(run),
             clock: WallClock::start(),
-            strategy_uses: [0; 4],
-            rebalance_migrated: 0,
             pops: Vec::new(),
-            comm_mark: (0, 0),
-            uses_mark: [0; 4],
-            total_tx: 0,
-            total_bytes: 0,
-            pending_exchange: None,
+            ledger: CommLedger::default(),
             fault: None,
         }
     }
@@ -660,6 +546,11 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
     /// (changes when the balancer remaps).
     pub fn owner(&self) -> &[u32] {
         &self.owner
+    }
+
+    /// The world's cumulative `(transactions, bytes)` counters.
+    fn wire(&self) -> (u64, u64) {
+        (self.comm.stats().transactions(), self.comm.stats().bytes())
     }
 
     /// Latch the first fault and abort this rank's comm so peers
@@ -683,29 +574,16 @@ impl<'a, C: Comm> ThreadedBackend<'a, C> {
         if self.fault.is_some() {
             return;
         }
-        let before = (self.comm.stats().transactions(), self.comm.stats().bytes());
-        match migrate(
-            self.comm,
-            self.strategy,
-            &self.cost,
-            &self.nodes,
-            MigrateFlags {
-                overlap: self.overlap,
-                prebucket,
-            },
-            eng,
-            &self.owner,
-        ) {
+        let before = self.wire();
+        match migrate(self, eng, prebucket) {
             Ok(s) => {
-                let idx = tally(&mut self.strategy_uses, s);
-                self.pending_exchange = Some(ExchangeInfo {
-                    strategy: idx,
-                    transactions: self.comm.stats().transactions().saturating_sub(before.0),
-                    bytes: self.comm.stats().bytes().saturating_sub(before.1),
-                    max_rank_msgs: 0,
-                    node_pairs: 0,
-                    aggregated_bytes: 0,
-                });
+                let after = self.wire();
+                let info = ExchangeInfo {
+                    transactions: after.0.saturating_sub(before.0),
+                    bytes: after.1.saturating_sub(before.1),
+                    ..ExchangeInfo::default()
+                };
+                self.ledger.carried(s, info);
             }
             Err(e) => self.latch(e),
         }
@@ -735,31 +613,12 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
     }
 
     fn take_exchange_info(&mut self) -> Option<ExchangeInfo> {
-        self.pending_exchange.take()
+        self.ledger.pending.take()
     }
 
     fn step_comm(&mut self) -> StepComm {
-        let now = (self.comm.stats().transactions(), self.comm.stats().bytes());
-        let delta = (
-            now.0.saturating_sub(self.comm_mark.0),
-            now.1.saturating_sub(self.comm_mark.1),
-        );
-        self.comm_mark = now;
-        self.total_tx += delta.0;
-        self.total_bytes += delta.1;
-        let mut uses = [0u64; 4];
-        for (u, (&cur, &mark)) in uses
-            .iter_mut()
-            .zip(self.strategy_uses.iter().zip(&self.uses_mark))
-        {
-            *u = cur - mark;
-        }
-        self.uses_mark = self.strategy_uses;
-        StepComm {
-            transactions: delta.0,
-            bytes: delta.1,
-            strategy_uses: uses,
-        }
+        let now = self.wire();
+        self.ledger.close_step(now)
     }
 
     fn reduce_charge(&mut self, _eng: &RankEngine, node_charge: Vec<f64>) -> Vec<f64> {
@@ -772,7 +631,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         // reduces its own block and scatters it back — the additions
         // happen in the same rank order, so the result is bitwise
         // identical to the allreduce.
-        let reduced = if self.decomp == Decomposition::EulLag {
+        let reduced = if self.balancing.decomp == Decomposition::EulLag {
             eullag_reduce_charge(self.comm, &node_charge)
         } else {
             allreduce_sum_f64(self.comm, &node_charge)
@@ -816,22 +675,11 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
         // timer-augmented cost source wants samples (the wire layout
         // stays the 3-float triple otherwise, so the default path's
         // message stream is untouched)
-        let sampling = self
-            .rebalancer
-            .as_ref()
-            .is_some_and(|rb| rb.wants_samples());
-        let mine: Vec<f64> = if sampling {
-            vec![
-                bd.total(),
-                bd.migration(),
-                bd.poisson(),
-                bd[Phase::DsmcMove],
-                bd[Phase::ColliReact],
-                bd[Phase::PicMove],
-            ]
-        } else {
-            vec![bd.total(), bd.migration(), bd.poisson()]
-        };
+        let sampling = self.balancing.wants_samples();
+        let mut mine = vec![bd.total(), bd.migration(), bd.poisson()];
+        if sampling {
+            mine.extend(SAMPLED_PHASES.map(|p| bd[p]));
+        }
         let width = mine.len();
         let all = match allgather_f64(self.comm, &mine) {
             Ok(all) => all,
@@ -848,89 +696,48 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
                 poisson: c[2],
             })
             .collect();
-        // world-wide kernel seconds, summed in rank order
-        let phase_secs: [f64; 3] = if sampling {
-            let mut s = [0.0; 3];
-            for c in all.chunks_exact(width) {
-                s[0] += c[3];
-                s[1] += c[4];
-                s[2] += c[5];
+        // world-wide kernel seconds, summed in rank order (zeros
+        // unless sampling widened the rows)
+        let mut phase_secs = [0.0; 3];
+        for c in all.chunks_exact(width) {
+            for (s, v) in phase_secs.iter_mut().zip(&c[3..]) {
+                *s += v;
             }
-            s
-        } else {
-            [0.0; 3]
-        };
-        let lii = load_imbalance_indicator(&times);
+        }
         let mut outcome = StepOutcome {
-            lii,
+            lii: load_imbalance_indicator(&times),
             ..StepOutcome::default()
         };
-        if self.rebalancer.is_some() {
-            // global per-cell counts (needed by the load model)
-            let nc = eng.nm.num_coarse();
-            let mut local = vec![0u64; 2 * nc];
-            for i in 0..eng.particles.len() {
-                let c = eng.particles.cell[i] as usize;
-                if eng.particles.species[i] == eng.h_id {
-                    local[c] += 1;
-                } else {
-                    local[nc + c] += 1;
-                }
+        if self.balancing.rebalancer.is_none() {
+            return outcome;
+        }
+        // global per-cell counts (needed by the load model), reduced
+        // as one `[neutral | charged]` u64 payload
+        let (mut local, charged) = eng.counts_per_cell();
+        local.extend_from_slice(&charged);
+        let global = match allreduce_sum_u64(self.comm, &local) {
+            Ok(global) => global,
+            Err(e) => {
+                self.latch(e);
+                return outcome;
             }
-            let global = match allreduce_sum_u64(self.comm, &local) {
-                Ok(global) => global,
-                Err(e) => {
-                    self.latch(e);
-                    return outcome;
-                }
-            };
-            let (neutral, charged) = global.split_at(nc);
-
-            // every rank runs the (deterministic) algorithm on the
-            // same inputs => identical new ownership everywhere
-            let rb = self.rebalancer.as_mut().expect("checked above");
-            if sampling {
-                // feed the measured kernel seconds and the global work
-                // units they covered to the timer-augmented source
-                let neutral_total: u64 = neutral.iter().sum();
-                let charged_total: u64 = charged.iter().sum();
-                let pair_total: u64 = neutral.iter().map(|&n| n * n.saturating_sub(1)).sum();
-                rb.observe(&CostSample {
-                    dsmc_move_seconds: phase_secs[0],
-                    colli_react_seconds: phase_secs[1],
-                    pic_move_seconds: phase_secs[2],
-                    neutral_total,
-                    pair_total,
-                    charged_total,
-                });
-            }
-            outcome.cost_source = rb.cost_source_name();
-            outcome.decomposition = self.decomp.name();
-            outcome.cost_rates = rb.cost_rates();
-            let remap_started = std::time::Instant::now();
-            if let RebalanceOutcome::Remapped {
-                new_owner,
-                migration_volume,
-                ..
-            } = rb.step(
-                lii,
-                self.xadj,
-                self.adjncy,
-                neutral,
-                charged,
-                &self.owner,
-                self.comm.size(),
-            ) {
-                self.owner = new_owner;
-                let me = self.comm.rank() as u32;
-                let owner = &self.owner;
-                eng.injector = Injector::with_filter(&eng.nm.coarse, |t| owner[t as usize] == me);
-                self.migrate_and_tally(eng, false);
-                self.rebalance_migrated += migration_volume;
-                outcome.rebalanced = true;
-                outcome.migrated = migration_volume;
-                outcome.remap_seconds = remap_started.elapsed().as_secs_f64();
-            }
+        };
+        let counts = global.split_at(charged.len());
+        // every rank runs the (deterministic) algorithm on the same
+        // inputs => identical new ownership everywhere
+        let remap_started = std::time::Instant::now();
+        let graph = (self.xadj, self.adjncy);
+        let ranks = self.comm.size();
+        if let Some(new_owner) =
+            self.balancing
+                .step(&mut outcome, phase_secs, graph, counts, &self.owner, ranks)
+        {
+            self.owner = new_owner;
+            let me = self.comm.rank() as u32;
+            let owner = &self.owner;
+            eng.injector = Injector::with_filter(&eng.nm.coarse, |t| owner[t as usize] == me);
+            self.migrate_and_tally(eng, false);
+            outcome.remap_seconds = remap_started.elapsed().as_secs_f64();
         }
         outcome
     }
@@ -943,13 +750,7 @@ impl<C: Comm> Backend for ThreadedBackend<'_, C> {
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            strategy_uses: self.strategy_uses,
-            rebalances: self.rebalancer.as_ref().map_or(0, |r| r.rebalance_count),
-            rebalance_migrated: self.rebalance_migrated,
-            transactions: self.total_tx,
-            bytes: self.total_bytes,
-        }
+        self.ledger.stats(&self.balancing)
     }
 }
 
@@ -1015,40 +816,30 @@ fn read_slot(slot: &Mutex<Option<(usize, Vec<u8>)>>) -> Option<(usize, Vec<u8>)>
     slot.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main<C: Comm>(
-    comm: &C,
-    run: &RunConfig,
-    nm: &Arc<NestedMesh>,
-    species: &Arc<SpeciesTable>,
-    h_id: u8,
-    hp_id: u8,
-    owner0: &[u32],
-    xadj: &[u32],
-    adjncy: &[u32],
-    ctx: &FaultCtx<'_>,
-) -> Result<RunReport, RankError> {
-    let me = comm.rank();
+/// One rank's attempt under session `s`: resume, step, checkpoint,
+/// and (on rank 0) report.
+fn rank_main<C: Comm>(comm: &C, s: &EngineSession) -> Result<RunReport, RankError> {
+    let (run, me) = (&s.run, comm.rank());
     let mut eng = RankEngine::for_rank(
         run.sim.clone(),
-        nm.clone(),
-        species.clone(),
-        h_id,
-        hp_id,
-        owner0,
+        s.nm.clone(),
+        s.species.clone(),
+        s.h_id,
+        s.hp_id,
+        &s.owner0,
         me,
         run.threads_per_rank,
     );
     // Resume from the last consistently committed checkpoint, if one
     // exists (a recovery replay); otherwise start from step 0.
-    let (start_step, owner) = match read_slot(&ctx.store[me]) {
+    let (start_step, owner) = match read_slot(&s.store[me]) {
         Some((next_step, blob)) => {
             let owner = restore_rank(&mut eng, me, &blob).map_err(RankError::Checkpoint)?;
             (next_step, owner)
         }
-        None => (0, owner0.to_vec()),
+        None => (0, s.owner0.clone()),
     };
-    let mut be = ThreadedBackend::new(comm, run, &owner, xadj, adjncy);
+    let mut be = ThreadedBackend::new(comm, run, &owner, &s.xadj, &s.adjncy);
     let pipeline = StepPipeline {
         sort_every: run.sort_every,
     };
@@ -1094,46 +885,34 @@ fn rank_main<C: Comm>(
             match comm.barrier() {
                 Ok(()) => {
                     let envelope = checkpoint_rank(&eng, be.owner());
-                    *ctx.store[me].lock().unwrap_or_else(|p| p.into_inner()) =
+                    *s.store[me].lock().unwrap_or_else(|p| p.into_inner()) =
                         Some((step + 1, envelope));
                 }
                 Err(error) => return Err(RankError::Comm { step, error }),
             }
         }
     }
-    // Every rank exports its kernel-pool busy time (the registry is
-    // shared across the rank threads; names are rank-qualified).
-    if let Some(reg) = &run.obs.metrics {
-        for (w, b) in eng.pool.busy_seconds().iter().enumerate() {
-            reg.gauge(&format!("kernels.rank{me}.worker{w}.busy_seconds"))
-                .set(*b);
-        }
-    }
+    // every rank exports its kernel-pool busy time
+    eng.export_pool_busy(run.obs.metrics.as_ref(), me);
 
     // --- final diagnostics: global H density per coarse cell ---------
-    let nc = eng.nm.num_coarse();
-    let mut counts = vec![0.0f64; nc];
-    for i in 0..eng.particles.len() {
-        if eng.particles.species[i] == h_id {
-            counts[eng.particles.cell[i] as usize] += 1.0;
-        }
-    }
     let at_diag = |error| RankError::Comm {
         step: run.steps,
         error,
     };
-    let counts = allreduce_sum_f64(comm, &counts).map_err(at_diag)?;
+    let counts = allreduce_sum_f64(comm, &eng.neutral_counts()).map_err(at_diag)?;
     let pops = allgather_u64(comm, eng.particles.len() as u64).map_err(at_diag)?;
 
     // counters read *after* the diagnostics collectives so faults
     // injected into them are counted too
-    let faults_injected = ctx.faults_injected();
-    let comm_retries = ctx.retries();
-    let comm_dedup_dropped = ctx.dedup_dropped();
+    let faults_injected = s.chaos.as_ref().map_or(0, |c| c.injected_total());
+    let comm_retries = s.reliable.as_ref().map_or(0, |r| r.retries());
+    let comm_dedup_dropped = s.reliable.as_ref().map_or(0, |r| r.dedup_dropped());
     if let Some(rec) = recorder.as_mut() {
-        if ctx.chaotic() || ctx.recoveries > 0 {
+        // faults were possible this run only if a plan was installed
+        if s.chaos.is_some() || s.recoveries > 0 {
             rec.fault_summary(
-                ctx.recoveries,
+                s.recoveries,
                 comm_retries,
                 comm_dedup_dropped,
                 faults_injected,
@@ -1142,20 +921,14 @@ fn rank_main<C: Comm>(
         rec.finish();
     }
 
-    let stats = be.stats();
     let mut report = builder.finish();
-    report.density_h =
-        crate::diag::number_density(&counts, &eng.nm.coarse.volumes, species.get(h_id).weight);
+    report.density_h = eng.density_h(&counts);
     report.population = pops.iter().sum::<u64>() as usize;
     // Backend-accumulated per-step totals, NOT `comm.stats()` read
     // here: the diagnostics collectives above already bumped the raw
     // counters, and the report promises trace sums == totals exactly.
-    report.transactions = stats.transactions;
-    report.bytes = stats.bytes;
-    report.rebalances = stats.rebalances;
-    report.rebalance_migrated = stats.rebalance_migrated;
-    report.strategy_uses = stats.strategy_uses;
-    report.recoveries = ctx.recoveries;
+    be.stats().fill(&mut report);
+    report.recoveries = s.recoveries;
     report.comm_retries = comm_retries;
     report.comm_dedup_dropped = comm_dedup_dropped;
     report.faults_injected = faults_injected;
@@ -1168,55 +941,11 @@ fn rank_main<C: Comm>(
 /// same pipeline.
 pub fn run_serial(run: &RunConfig) -> RunReport {
     let mut eng = RankEngine::new(run.sim.clone());
-    let mut be = SerialBackend::new();
     let pipeline = StepPipeline {
         sort_every: run.sort_every,
     };
-    let mut builder = ReportBuilder::new();
-    let sink = run.obs.trace.make_sink().expect("open trace sink");
-    let mut rec =
-        Recorder::new(run.obs.metrics.as_ref(), sink).with_time_average(run.obs.avg_window);
-    rec.meta(1, run.steps);
-    for step in 0..run.steps {
-        {
-            let mut obs = Tee(&mut builder, &mut rec);
-            pipeline.run_step(&mut eng, &mut be, &mut obs, step);
-        }
-        // time-averaged diagnostics are read-only taps: sampling
-        // never perturbs the physics, and with avg_window == 0 the
-        // samples are dropped before they are even computed
-        if run.obs.avg_window > 0 {
-            let (neutral, _) = eng.counts_per_cell();
-            let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-            let density = crate::diag::number_density(
-                &counts,
-                &eng.nm.coarse.volumes,
-                eng.species.get(eng.h_id).weight,
-            );
-            rec.field_sample("density_h", &density);
-            rec.field_sample("phi", eng.poisson.phi());
-        }
-    }
-    rec.finish();
-    if let Some(reg) = &run.obs.metrics {
-        for (w, b) in eng.pool.busy_seconds().iter().enumerate() {
-            reg.gauge(&format!("kernels.rank0.worker{w}.busy_seconds"))
-                .set(*b);
-        }
-    }
-    let (neutral, _) = eng.counts_per_cell();
-    let counts: Vec<f64> = neutral.iter().map(|&c| c as f64).collect();
-    let mut report = builder.finish();
-    report.density_h = crate::diag::number_density(
-        &counts,
-        &eng.nm.coarse.volumes,
-        eng.species.get(eng.h_id).weight,
-    );
-    report.population = eng.particles.len();
-    if let Some(avg) = rec.time_average() {
-        report.density_h_avg = avg.mean("density_h").unwrap_or_default();
-        report.phi_avg = avg.mean("phi").unwrap_or_default();
-    }
+    let report = pipeline.run_whole(&mut eng, &mut SerialBackend::new(), &run.obs, 1, run.steps);
+    eng.export_pool_busy(run.obs.metrics.as_ref(), 0);
     report
 }
 
@@ -1226,12 +955,17 @@ mod tests {
     use crate::config::{Dataset, RunConfig};
     use vmpi::{FaultAction, FaultPlan};
 
-    fn quick_run(ranks: usize, strategy: Strategy, lb: bool) -> RunReport {
-        let run = RunConfig::builder()
+    /// The D1 configuration every test here starts from.
+    fn base(ranks: usize, steps: usize) -> crate::config::RunConfigBuilder {
+        RunConfig::builder()
             .paper(Dataset::D1, 0.02)
             .ranks(ranks)
             .seed(5)
-            .steps(12)
+            .steps(steps)
+    }
+
+    fn quick_run(ranks: usize, strategy: Strategy, lb: bool) -> RunReport {
+        let run = base(ranks, 12)
             .strategy(strategy)
             .rebalance(lb.then(|| balance::RebalanceConfig {
                 t_interval: 4,
@@ -1264,11 +998,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_density() {
-        let run = RunConfig::builder()
-            .paper(Dataset::D1, 0.02)
-            .ranks(4)
-            .seed(5)
-            .steps(16)
+        let run = base(4, 16)
             .rebalance(None)
             .build()
             .expect("valid test config");
@@ -1312,11 +1042,7 @@ mod tests {
         // an explicit node map — the full pipeline must agree bitwise
         let dc = quick_run(4, Strategy::Distributed, false);
         let hier = {
-            let run = RunConfig::builder()
-                .paper(Dataset::D1, 0.02)
-                .ranks(4)
-                .seed(5)
-                .steps(12)
+            let run = base(4, 12)
                 .strategy(Strategy::Hier)
                 .ranks_per_node(2)
                 .rebalance(None)
@@ -1332,12 +1058,8 @@ mod tests {
 
     #[test]
     fn overlapped_hier_is_bitwise_identical_to_sequential_hier() {
-        let base = |overlap: bool| {
-            let run = RunConfig::builder()
-                .paper(Dataset::D1, 0.02)
-                .ranks(4)
-                .seed(5)
-                .steps(12)
+        let hier = |overlap: bool| {
+            let run = base(4, 12)
                 .strategy(Strategy::Hier)
                 .ranks_per_node(2)
                 .overlap(overlap)
@@ -1346,8 +1068,8 @@ mod tests {
                 .expect("valid test config");
             run_threaded(&run)
         };
-        let seq = base(false);
-        let ov = base(true);
+        let seq = hier(false);
+        let ov = hier(true);
         assert_eq!(ov.population, seq.population);
         assert_eq!(ov.density_h, seq.density_h, "overlap changed physics");
         // the wire schedule must be unchanged too: same exchanges, all
@@ -1359,6 +1081,30 @@ mod tests {
             ov.strategy_uses, seq.strategy_uses,
             "overlap changed schedule"
         );
+    }
+
+    #[test]
+    fn auto_prices_hier_on_the_node_map_the_exchange_runs() {
+        // 4 ranks: Hier runs on two halves by default, or on the
+        // configured grouping; Auto's Hier score must price exactly
+        // that map's traffic, not a one-node Tianhe-2 grouping
+        let m: Vec<Vec<u64>> = (0..4)
+            .map(|s| (0..4).map(|d| if s == d { 0 } else { 4_000 }).collect())
+            .collect();
+        for (rpn, nodes) in [(0, NodeMap::default_for(4)), (1, NodeMap::grouped(4, 1))] {
+            let run = base(4, 1)
+                .strategy(Strategy::Auto)
+                .ranks_per_node(rpn)
+                .build()
+                .expect("valid test config");
+            let (m, nodes) = (&m, &nodes);
+            run_world(4, |comm| {
+                let be = ThreadedBackend::new(&comm, &run, &[], &[], &[]);
+                let hier = vmpi::traffic(Strategy::Hier, nodes, m);
+                let want = be.cost.exchange_time(Strategy::Hier, &hier);
+                assert_eq!(be.cost.exchange_time_for(Strategy::Hier, m), want);
+            });
+        }
     }
 
     #[test]
@@ -1385,11 +1131,7 @@ mod tests {
             assert_eq!(t.share.len(), 3);
             assert!((t.share.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
-        let run = RunConfig::builder()
-            .paper(Dataset::D1, 0.02)
-            .ranks(1)
-            .seed(5)
-            .steps(4)
+        let run = base(1, 4)
             .rebalance(None)
             .build()
             .expect("valid test config");
@@ -1401,24 +1143,20 @@ mod tests {
 
     #[test]
     fn lossy_transport_matches_the_clean_run_bitwise() {
-        let base = |plan: Option<FaultPlan>| {
-            RunConfig::builder()
-                .paper(Dataset::D1, 0.02)
-                .ranks(3)
-                .seed(5)
-                .steps(12)
+        let cfg = |plan: Option<FaultPlan>| {
+            base(3, 12)
                 .rebalance(None)
                 .fault_plan(plan)
                 .build()
                 .expect("valid test config")
         };
-        let clean = run_threaded(&base(None));
+        let clean = run_threaded(&cfg(None));
         let plan = FaultPlan::seeded(0xFA11)
             .drops(40)
             .dups(40)
             .delays(40, 3)
             .action(1, 0, 0, FaultAction::Drop);
-        let chaotic = run_threaded_result(&base(Some(plan))).expect("reliable layer recovers");
+        let chaotic = run_threaded_result(&cfg(Some(plan))).expect("reliable layer recovers");
         assert_eq!(chaotic.density_h, clean.density_h);
         assert_eq!(chaotic.population, clean.population);
         assert!(chaotic.faults_injected > 0, "plan must have injected");
@@ -1430,11 +1168,7 @@ mod tests {
 
     #[test]
     fn abort_policy_surfaces_a_kill() {
-        let run = RunConfig::builder()
-            .paper(Dataset::D1, 0.02)
-            .ranks(3)
-            .seed(5)
-            .steps(8)
+        let run = base(3, 8)
             .rebalance(None)
             .fault_plan(Some(FaultPlan::seeded(1).kill(1, 3)))
             .build()
@@ -1452,12 +1186,8 @@ mod tests {
 
     #[test]
     fn kill_recovers_from_checkpoint_bitwise() {
-        let base = |plan: Option<FaultPlan>| {
-            RunConfig::builder()
-                .paper(Dataset::D1, 0.02)
-                .ranks(3)
-                .seed(5)
-                .steps(12)
+        let cfg = |plan: Option<FaultPlan>| {
+            base(3, 12)
                 .rebalance(None)
                 .checkpoint_every(4)
                 .on_fault(FaultPolicy::RestartFromCheckpoint)
@@ -1465,9 +1195,9 @@ mod tests {
                 .build()
                 .expect("valid test config")
         };
-        let clean = run_threaded(&base(None));
+        let clean = run_threaded(&cfg(None));
         let killed =
-            run_threaded_result(&base(Some(FaultPlan::seeded(2).kill(2, 6)))).expect("recovers");
+            run_threaded_result(&cfg(Some(FaultPlan::seeded(2).kill(2, 6)))).expect("recovers");
         assert_eq!(killed.recoveries, 1, "exactly one replay");
         assert_eq!(killed.density_h, clean.density_h, "recovery is bitwise");
         assert_eq!(killed.population, clean.population);

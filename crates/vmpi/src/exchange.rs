@@ -82,6 +82,16 @@ impl Strategy {
         Strategy::Sparse,
         Strategy::Hier,
     ];
+
+    /// Position in [`Strategy::CONCRETE`]: the index tallies, traces
+    /// and the Auto pick's broadcast byte use. Panics on
+    /// [`Strategy::Auto`], which must be resolved first.
+    pub fn concrete_index(self) -> usize {
+        Self::CONCRETE
+            .iter()
+            .position(|&s| s == self)
+            .expect("Strategy::Auto has no concrete index; resolve it first")
+    }
 }
 
 /// Grouping of the world's ranks into nodes for [`Strategy::Hier`].
@@ -174,56 +184,40 @@ impl NodeMap {
 /// Exchange `outgoing[dest]` buffers between all ranks; returns
 /// `incoming[src]` buffers. `outgoing[comm.rank()]` is delivered
 /// straight to `incoming[comm.rank()]` without touching the network.
+/// `nodes` is the grouping [`Strategy::Hier`] runs on (the flat
+/// strategies ignore it).
 pub fn exchange<C: Comm>(
     comm: &C,
     strategy: Strategy,
+    nodes: &NodeMap,
     mut outgoing: Vec<Vec<u8>>,
 ) -> CommResult<Vec<Vec<u8>>> {
     let mut incoming = Vec::new();
-    exchange_into(comm, strategy, &mut outgoing, &mut incoming)?;
+    exchange_into(comm, strategy, nodes, &mut outgoing, &mut incoming)?;
     Ok(incoming)
 }
 
 /// Allocation-free exchange: fills `incoming[src]` (resized to world
 /// size, buffers cleared and refilled in place) from `outgoing[dest]`,
 /// which is only borrowed — its buffers keep their contents and
-/// capacity, ready to be cleared and repacked next step.
+/// capacity, ready to be cleared and repacked next step. `nodes` is
+/// the grouping [`Strategy::Hier`] runs on (the flat strategies ignore
+/// it).
 pub fn exchange_into<C: Comm>(
     comm: &C,
     strategy: Strategy,
-    outgoing: &mut [Vec<u8>],
-    incoming: &mut Vec<Vec<u8>>,
-) -> CommResult<()> {
-    let n = comm.size();
-    let me = comm.rank();
-    assert_eq!(outgoing.len(), n);
-    incoming.resize_with(n, Vec::new);
-    for buf in incoming.iter_mut() {
-        buf.clear();
-    }
-    // local delivery without touching the network
-    incoming[me].extend_from_slice(&outgoing[me]);
-    match strategy {
-        Strategy::Centralized => exchange_centralized_into(comm, outgoing, incoming),
-        Strategy::Distributed => exchange_distributed_into(comm, outgoing, incoming),
-        Strategy::Sparse => exchange_sparse_into(comm, outgoing, incoming),
-        Strategy::Hier => {
-            exchange_hier_core(comm, &NodeMap::default_for(n), outgoing, incoming, || ())
-        }
-        Strategy::Auto => Err(CommError::AutoUnresolved),
-    }
-}
-
-/// Hierarchical exchange with an explicit node map. Same contract as
-/// [`exchange_into`] restricted to [`Strategy::Hier`]: fills
-/// `incoming[src]` in place, borrows `outgoing`.
-pub fn exchange_hier_into<C: Comm>(
-    comm: &C,
     nodes: &NodeMap,
     outgoing: &mut [Vec<u8>],
     incoming: &mut Vec<Vec<u8>>,
 ) -> CommResult<()> {
-    exchange_hier_overlapped(comm, nodes, outgoing, incoming, || ())
+    deliver_self(comm, outgoing, incoming);
+    match strategy {
+        Strategy::Centralized => exchange_centralized_into(comm, outgoing, incoming),
+        Strategy::Distributed => exchange_distributed_into(comm, outgoing, incoming),
+        Strategy::Sparse => exchange_sparse_into(comm, outgoing, incoming),
+        Strategy::Hier => exchange_hier_core(comm, nodes, outgoing, incoming, || ()),
+        Strategy::Auto => Err(CommError::AutoUnresolved),
+    }
 }
 
 /// Hierarchical exchange overlapping `work` with the communication:
@@ -231,7 +225,8 @@ pub fn exchange_hier_into<C: Comm>(
 /// before the first fence-and-drain, i.e. inside the window where the
 /// paper's overlapped variant advances interior cells. `work` must not
 /// touch `outgoing`/`incoming` (the borrow checker enforces it) and
-/// must not communicate on `comm`.
+/// must not communicate on `comm`. Otherwise the same contract as
+/// [`exchange_into`] under [`Strategy::Hier`].
 pub fn exchange_hier_overlapped<C: Comm>(
     comm: &C,
     nodes: &NodeMap,
@@ -239,15 +234,21 @@ pub fn exchange_hier_overlapped<C: Comm>(
     incoming: &mut Vec<Vec<u8>>,
     work: impl FnOnce(),
 ) -> CommResult<()> {
-    let n = comm.size();
+    deliver_self(comm, outgoing, incoming);
+    exchange_hier_core(comm, nodes, outgoing, incoming, work)
+}
+
+/// The shared prologue of every exchange: size `incoming` to the
+/// world, clear it in place, and deliver the self slot locally
+/// without touching the network.
+fn deliver_self<C: Comm>(comm: &C, outgoing: &[Vec<u8>], incoming: &mut Vec<Vec<u8>>) {
     let me = comm.rank();
-    assert_eq!(outgoing.len(), n);
-    incoming.resize_with(n, Vec::new);
+    assert_eq!(outgoing.len(), comm.size());
+    incoming.resize_with(comm.size(), Vec::new);
     for buf in incoming.iter_mut() {
         buf.clear();
     }
     incoming[me].extend_from_slice(&outgoing[me]);
-    exchange_hier_core(comm, nodes, outgoing, incoming, work)
 }
 
 /// Wire magics for the three hierarchical phases. Distinct per phase
@@ -666,12 +667,14 @@ pub struct TrafficSummary {
     pub aggregated_bytes: u64,
 }
 
-/// Predict the traffic of one exchange under `strategy`.
+/// Predict the traffic of one exchange under `strategy`, with
+/// [`Strategy::Hier`] aggregated over `nodes` — pass the map the
+/// exchange runs on (the flat strategies ignore it).
 ///
 /// Panics on [`Strategy::Auto`]: the auto marker has no traffic of its
 /// own — resolving it first is a caller precondition, not a runtime
 /// communication fault.
-pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
+pub fn traffic(strategy: Strategy, nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
     let n = matrix.len();
     let mut off_diag = 0u64; // M: bytes that actually change ranks
     let mut sent = vec![0u64; n];
@@ -757,7 +760,7 @@ pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
                 aggregated_bytes: 0,
             }
         }
-        Strategy::Hier => traffic_hier(&NodeMap::default_for(n), matrix),
+        Strategy::Hier => hier_traffic(nodes, matrix),
         Strategy::Auto => panic!(
             "Strategy::Auto has no traffic of its own — resolve it to a concrete \
              strategy first (CostModel::pick_strategy)"
@@ -765,14 +768,14 @@ pub fn traffic(strategy: Strategy, matrix: &[Vec<u64>]) -> TrafficSummary {
     }
 }
 
-/// Predict the traffic of one hierarchical exchange under an explicit
-/// node map, mirroring the wire protocol byte for byte: phase-1
+/// [`traffic`] of one hierarchical exchange over `nodes`, mirroring
+/// the wire protocol byte for byte: phase-1
 /// frames are `1 + 8 + intra` plus, toward the leader, `16 + payload`
 /// per funneled group; phase-2 trunk frames are `1` plus the
 /// aggregated groups of the node pair; phase-3 scatter frames are `1`
 /// plus `12 + payload` per bundle. Barriers are synchronization, not
 /// transactions.
-pub fn traffic_hier(nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
+fn hier_traffic(nodes: &NodeMap, matrix: &[Vec<u64>]) -> TrafficSummary {
     let n = matrix.len();
     assert_eq!(nodes.len(), n, "node map sized for another matrix");
     let mut sent_b = vec![0u64; n];
@@ -864,6 +867,11 @@ mod tests {
     use super::*;
     use crate::threaded::run_world;
 
+    /// Traffic of a flat strategy (the node map only shapes Hier).
+    fn flat(strategy: Strategy, m: &[Vec<u64>]) -> TrafficSummary {
+        traffic(strategy, &NodeMap::default_for(m.len()), m)
+    }
+
     /// Build a deterministic payload for (src → dst).
     fn payload(src: usize, dst: usize) -> Vec<u8> {
         vec![(src * 16 + dst) as u8; (src + 1) * (dst + 2)]
@@ -872,7 +880,7 @@ mod tests {
     fn check_all_to_all(strategy: Strategy, n: usize) {
         let results = run_world(n, |c| {
             let outgoing: Vec<Vec<u8>> = (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
-            exchange(&c, strategy, outgoing).unwrap()
+            exchange(&c, strategy, &NodeMap::default_for(c.size()), outgoing).unwrap()
         });
         for (dst, incoming) in results.iter().enumerate() {
             assert_eq!(incoming.len(), n);
@@ -921,7 +929,7 @@ mod tests {
                 let mut outgoing: Vec<Vec<u8>> =
                     (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
                 let mut incoming = Vec::new();
-                exchange_hier_into(&c, &nodes, &mut outgoing, &mut incoming).unwrap();
+                exchange_into(&c, Strategy::Hier, &nodes, &mut outgoing, &mut incoming).unwrap();
                 incoming
             });
             for (dst, incoming) in results.iter().enumerate() {
@@ -951,7 +959,8 @@ mod tests {
                     6 => outgoing[0] = vec![9u8; 122],
                     _ => {}
                 }
-                let inc = exchange(&c, strategy, outgoing).unwrap();
+                let inc =
+                    exchange(&c, strategy, &NodeMap::default_for(c.size()), outgoing).unwrap();
                 c.barrier().unwrap();
                 (c.stats().transactions(), inc)
             })
@@ -969,7 +978,7 @@ mod tests {
         }
     }
 
-    /// `traffic_hier` must agree with what CommStats measures on the
+    /// `traffic(Hier, ..)` must agree with what CommStats measures on the
     /// threaded backend for the same migration matrix and node map.
     #[test]
     fn hier_traffic_model_matches_measurement() {
@@ -983,7 +992,7 @@ mod tests {
         m[4][1] = 1; // cross, from a leader
         m[5][4] = 9; // intra toward the leader
         let nodes = NodeMap::grouped(n, rpn);
-        let model = traffic_hier(&nodes, &m);
+        let model = traffic(Strategy::Hier, &nodes, &m);
         let m2 = m.clone();
         let (tx, bytes) = {
             let out = run_world(n, move |c| {
@@ -994,7 +1003,7 @@ mod tests {
                     .map(|d| vec![0xBBu8; m2[c.rank()][d] as usize])
                     .collect();
                 let mut incoming = Vec::new();
-                exchange_hier_into(&c, &nodes, &mut outgoing, &mut incoming).unwrap();
+                exchange_into(&c, Strategy::Hier, &nodes, &mut outgoing, &mut incoming).unwrap();
                 // deliveries must match the matrix
                 for (src, buf) in incoming.iter().enumerate() {
                     assert_eq!(buf.len() as u64, m2[src][c.rank()], "{src}->{}", c.rank());
@@ -1103,7 +1112,7 @@ mod tests {
     fn unresolved_auto_is_an_error_not_a_panic() {
         let out = run_world(2, |c| {
             let outgoing = vec![Vec::new(); c.size()];
-            exchange(&c, Strategy::Auto, outgoing)
+            exchange(&c, Strategy::Auto, &NodeMap::default_for(2), outgoing)
         });
         assert_eq!(out[0], Err(CommError::AutoUnresolved));
         assert_eq!(out[1], Err(CommError::AutoUnresolved));
@@ -1118,7 +1127,7 @@ mod tests {
                 if c.rank() == 1 {
                     outgoing[3] = vec![42u8; 7];
                 }
-                exchange(&c, strategy, outgoing).unwrap()
+                exchange(&c, strategy, &NodeMap::default_for(c.size()), outgoing).unwrap()
             });
             assert_eq!(results[3][1], vec![42u8; 7]);
             for (dst, inc) in results.iter().enumerate() {
@@ -1141,10 +1150,11 @@ mod tests {
         // cleared and refilled in place.
         for strategy in Strategy::CONCRETE {
             let results = run_world(3, move |c| {
+                let nodes = NodeMap::default_for(c.size());
                 let mut outgoing: Vec<Vec<u8>> =
                     (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
                 let mut incoming = Vec::new();
-                exchange_into(&c, strategy, &mut outgoing, &mut incoming).unwrap();
+                exchange_into(&c, strategy, &nodes, &mut outgoing, &mut incoming).unwrap();
                 let first: Vec<Vec<u8>> = incoming.clone();
                 // outgoing untouched by the exchange
                 for (dst, buf) in outgoing.iter().enumerate() {
@@ -1156,7 +1166,7 @@ mod tests {
                     buf.extend_from_slice(&payload(c.rank(), dst));
                     buf.push(0xEE);
                 }
-                exchange_into(&c, strategy, &mut outgoing, &mut incoming).unwrap();
+                exchange_into(&c, strategy, &nodes, &mut outgoing, &mut incoming).unwrap();
                 (first, incoming)
             });
             for (dst, (first, second)) in results.iter().enumerate() {
@@ -1186,7 +1196,7 @@ mod tests {
                 c.stats().reset();
                 c.barrier().unwrap();
                 let outgoing = vec![vec![1u8; 4]; c.size()];
-                let _ = exchange(&c, strategy, outgoing).unwrap();
+                let _ = exchange(&c, strategy, &NodeMap::default_for(c.size()), outgoing).unwrap();
                 c.barrier().unwrap();
                 c.stats().transactions()
             })[0];
@@ -1213,7 +1223,8 @@ mod tests {
                     6 => outgoing[2] = vec![9u8; 122],
                     _ => {}
                 }
-                let inc = exchange(&c, strategy, outgoing).unwrap();
+                let inc =
+                    exchange(&c, strategy, &NodeMap::default_for(c.size()), outgoing).unwrap();
                 c.barrier().unwrap();
                 (c.stats().transactions(), inc)
             })
@@ -1256,7 +1267,7 @@ mod tests {
                 2 => outgoing[1] = vec![4u8; 40],
                 _ => {}
             }
-            let _ = exchange(&c, Strategy::Sparse, outgoing).unwrap();
+            let _ = exchange(&c, Strategy::Sparse, &NodeMap::default_for(n), outgoing).unwrap();
             c.barrier().unwrap();
             c.stats().transactions()
         })[0];
@@ -1275,7 +1286,7 @@ mod tests {
         m[2][5] = 7;
         m[4][1] = 1;
         m[1][4] = 900;
-        let model = traffic(Strategy::Sparse, &m);
+        let model = flat(Strategy::Sparse, &m);
         let m2 = m.clone();
         let (tx, bytes) = {
             let out = run_world(n, move |c| {
@@ -1284,7 +1295,7 @@ mod tests {
                 let outgoing: Vec<Vec<u8>> = (0..c.size())
                     .map(|d| vec![0xAAu8; m2[c.rank()][d] as usize])
                     .collect();
-                let _ = exchange(&c, Strategy::Sparse, outgoing).unwrap();
+                let _ = exchange(&c, Strategy::Sparse, &NodeMap::default_for(n), outgoing).unwrap();
                 c.barrier().unwrap();
                 (c.stats().transactions(), c.stats().bytes())
             });
@@ -1300,7 +1311,7 @@ mod tests {
         // 3 ranks, only 0->2 sends 100 bytes
         let mut m = vec![vec![0u64; 3]; 3];
         m[0][2] = 100;
-        let t = traffic(Strategy::Distributed, &m);
+        let t = flat(Strategy::Distributed, &m);
         assert_eq!(t.transactions, 6);
         assert_eq!(t.total_bytes, 100);
         assert_eq!(t.max_rank_bytes, 100);
@@ -1313,7 +1324,7 @@ mod tests {
         let mut m = vec![vec![0u64; 3]; 3];
         m[1][2] = 100; // neither endpoint is root: 2 hops
         m[0][1] = 50; // source is root: 1 hop
-        let t = traffic(Strategy::Centralized, &m);
+        let t = flat(Strategy::Centralized, &m);
         assert_eq!(t.transactions, 4);
         assert_eq!(t.total_bytes, 250);
         assert_eq!(t.max_rank_bytes, 250);
@@ -1325,7 +1336,7 @@ mod tests {
         // quiet: one pair
         let mut quiet = vec![vec![0u64; n]; n];
         quiet[1][3] = 1000;
-        let tq = traffic(Strategy::Sparse, &quiet);
+        let tq = flat(Strategy::Sparse, &quiet);
         assert_eq!(tq.transactions, 2);
         assert_eq!(tq.total_bytes, 1000 + 17);
         assert_eq!(tq.max_rank_msgs, 2);
@@ -1333,8 +1344,8 @@ mod tests {
         let dense: Vec<Vec<u64>> = (0..n)
             .map(|s| (0..n).map(|d| if s == d { 0 } else { 10 }).collect())
             .collect();
-        let td = traffic(Strategy::Sparse, &dense);
-        let dc = traffic(Strategy::Distributed, &dense);
+        let td = flat(Strategy::Sparse, &dense);
+        let dc = flat(Strategy::Distributed, &dense);
         assert_eq!(td.transactions, 2 * dc.transactions);
         assert!(td.total_bytes > dc.total_bytes);
     }
@@ -1346,8 +1357,8 @@ mod tests {
         let m: Vec<Vec<u64>> = (0..n)
             .map(|s| (0..n).map(|d| if s == d { 0 } else { 10 }).collect())
             .collect();
-        let cc = traffic(Strategy::Centralized, &m);
-        let dc = traffic(Strategy::Distributed, &m);
+        let cc = flat(Strategy::Centralized, &m);
+        let dc = flat(Strategy::Distributed, &m);
         assert!(cc.transactions < dc.transactions);
         assert!(cc.total_bytes > dc.total_bytes);
     }

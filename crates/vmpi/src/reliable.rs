@@ -344,7 +344,7 @@ impl<C: Comm> Comm for ReliableComm<C> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosComm, ChaosWorld, FaultAction, FaultPlan};
-    use crate::exchange::{exchange, Strategy};
+    use crate::exchange::{exchange, NodeMap, Strategy};
     use crate::threaded::run_world;
 
     fn lossy_pair_world(plan: FaultPlan) -> (Arc<ChaosWorld>, Arc<ReliableWorld>) {
@@ -540,7 +540,7 @@ mod tests {
                     let c = ReliableComm::new(ChaosComm::new(c, cw2.clone()), rw2.clone());
                     let outgoing: Vec<Vec<u8>> =
                         (0..c.size()).map(|dst| payload(c.rank(), dst)).collect();
-                    let inc = exchange(&c, strategy, outgoing).unwrap();
+                    let inc = exchange(&c, strategy, &NodeMap::default_for(n), outgoing).unwrap();
                     c.barrier().unwrap();
                     inc
                 });

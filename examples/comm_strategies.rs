@@ -9,7 +9,7 @@
 //! ```
 
 use coupled::prelude::*;
-use vmpi::traffic;
+use vmpi::{traffic, NodeMap};
 
 fn main() {
     let ranks = 6usize;
@@ -56,7 +56,7 @@ fn main() {
         println!("\nanalytic traffic, N = {n}, {label}:");
         println!("  strategy    | transactions | total bytes | busiest rank");
         for strategy in Strategy::CONCRETE {
-            let t = traffic(strategy, m);
+            let t = traffic(strategy, &NodeMap::default_for(n), m);
             println!(
                 "  {:11} | {:>12} | {:>11} | {:>12}",
                 format!("{strategy:?}"),

@@ -45,4 +45,7 @@ else
     echo "rustfmt not installed; skipping format check"
 fi
 
+echo "== line count (informational, not a gate) =="
+echo "non-vendor Rust lines: $(scripts/loc.sh)"
+
 echo "verify: OK"

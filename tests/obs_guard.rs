@@ -109,57 +109,99 @@ fn jsonl_trace_sums_match_threaded_report_totals_exactly() {
     assert_eq!(bytes, r.bytes, "per-step sums != report.bytes");
 }
 
-#[test]
-fn memory_trace_agrees_with_report_trace() {
-    let mem = MemorySink::new();
-    let run = guard_builder()
-        .trace(TraceSpec::Memory(mem.clone()))
-        .build()
-        .unwrap();
-    let r = run_threaded(&run);
-    let steps: Vec<StepTrace> = mem
-        .events()
-        .into_iter()
+/// The ledger semantics every communicating driver keeps: the
+/// per-step traces telescope to the report's traffic and strategy
+/// totals, and its rebalance totals match the rebalance events.
+fn assert_ledger(r: &RunReport, steps: &[StepTrace], events: &[TraceEvent]) {
+    let sum = |f: fn(&StepTrace) -> u64| steps.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|t| t.transactions), r.transactions);
+    assert_eq!(sum(|t| t.bytes), r.bytes);
+    for (i, &uses) in r.strategy_uses.iter().enumerate() {
+        assert_eq!(steps.iter().map(|t| t.strategy_uses[i]).sum::<u64>(), uses);
+    }
+    let rebalances: Vec<u64> = events
+        .iter()
         .filter_map(|e| match e {
-            TraceEvent::Step { trace, .. } => Some(trace),
+            TraceEvent::Rebalance(ev) => Some(ev.migrated),
             _ => None,
         })
         .collect();
-    assert_eq!(steps, r.trace, "sink and report must see identical steps");
-    let sum_tx: u64 = steps.iter().map(|t| t.transactions).sum();
-    let sum_bytes: u64 = steps.iter().map(|t| t.bytes).sum();
-    assert_eq!(sum_tx, r.transactions);
-    assert_eq!(sum_bytes, r.bytes);
+    assert_eq!(rebalances.len(), r.rebalances);
+    assert_eq!(steps.iter().filter(|t| t.rebalanced).count(), r.rebalances);
+    assert_eq!(rebalances.iter().sum::<u64>(), r.rebalance_migrated);
+}
+
+/// Auto strategy plus a balancer that re-decomposes every other step.
+fn auto_rebalancing(b: RunConfigBuilder) -> RunConfigBuilder {
+    b.strategy(Strategy::Auto)
+        .rebalance(Some(balance::RebalanceConfig {
+            t_interval: 2,
+            threshold: 0.0,
+            ..Default::default()
+        }))
+}
+
+#[test]
+fn memory_trace_agrees_with_report_trace() {
+    for b in [guard_builder(), auto_rebalancing(guard_builder())] {
+        let mem = MemorySink::new();
+        let run = b.trace(TraceSpec::Memory(mem.clone())).build().unwrap();
+        let r = run_threaded(&run);
+        let steps: Vec<StepTrace> = mem
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Step { trace, .. } => Some(trace),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps, r.trace, "sink and report must see identical steps");
+        assert_ledger(&r, &steps, &mem.events());
+        assert_eq!(r.rebalances > 0, run.rebalance.is_some());
+    }
 }
 
 #[test]
 fn modelled_driver_trace_sums_match_totals() {
-    let mem = MemorySink::new();
-    let run = RunConfig::builder()
-        .paper(Dataset::D1, 0.02)
-        .ranks(4)
-        .seed(7)
-        .steps(10)
-        .trace(TraceSpec::Memory(mem.clone()))
-        .build()
-        .unwrap();
-    let report = ClusterSim::new(&run, MachineProfile::tianhe2()).run(10);
-    assert!(report.transactions > 0);
-    let sum_tx: u64 = report.trace.iter().map(|t| t.transactions).sum();
-    let sum_bytes: u64 = report.trace.iter().map(|t| t.bytes).sum();
-    assert_eq!(sum_tx, report.transactions);
-    assert_eq!(sum_bytes, report.bytes);
-    // exchange events carry the exact protocol prediction here, so
-    // they account for the same totals
-    let ev_bytes: u64 = mem
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Exchange(ev) => Some(ev.bytes),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(ev_bytes, report.bytes);
+    // one call on the default config, and Auto + rebalancing over two
+    // calls: report totals are cumulative across `ClusterSim::run`s
+    let base = || {
+        RunConfig::builder()
+            .paper(Dataset::D1, 0.02)
+            .ranks(4)
+            .seed(7)
+    };
+    for (b, calls, rebalancing) in [
+        (base(), &[10][..], false),
+        (auto_rebalancing(base()), &[6, 4], true),
+    ] {
+        let mem = MemorySink::new();
+        let run = b
+            .steps(10)
+            .trace(TraceSpec::Memory(mem.clone()))
+            .build()
+            .unwrap();
+        let mut sim = ClusterSim::new(&run, MachineProfile::tianhe2());
+        let (mut steps, mut report) = (Vec::new(), RunReport::default());
+        for &n in calls {
+            report = sim.run(n);
+            steps.extend(report.trace.iter().cloned());
+        }
+        assert!(report.transactions > 0);
+        assert_eq!(report.rebalances > 0, rebalancing);
+        let events = mem.events();
+        assert_ledger(&report, &steps, &events);
+        // exchange events carry the exact protocol prediction here, so
+        // they account for the same totals
+        let ev_bytes: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Exchange(ev) => Some(ev.bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(ev_bytes, report.bytes);
+    }
 }
 
 #[test]

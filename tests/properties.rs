@@ -13,7 +13,7 @@ use particles::{
 use proptest::prelude::*;
 use sparse::{cg, solve_dense, CooBuilder, KrylovOptions};
 use vmpi::{
-    exchange, run_world, traffic, ChaosComm, ChaosWorld, Comm, FaultPlan, ReliableComm,
+    exchange, run_world, traffic, ChaosComm, ChaosWorld, Comm, FaultPlan, NodeMap, ReliableComm,
     ReliableWorld, Strategy as CommStrategy,
 };
 
@@ -252,9 +252,10 @@ proptest! {
     fn traffic_model_invariants(nbytes in proptest::collection::vec(0u64..10_000, 9)) {
         // 3x3 migration matrix from the flat vector
         let m: Vec<Vec<u64>> = nbytes.chunks(3).map(|c| c.to_vec()).collect();
-        let dc = traffic(CommStrategy::Distributed, &m);
-        let cc = traffic(CommStrategy::Centralized, &m);
-        let sp = traffic(CommStrategy::Sparse, &m);
+        let nodes = NodeMap::default_for(3);
+        let dc = traffic(CommStrategy::Distributed, &nodes, &m);
+        let cc = traffic(CommStrategy::Centralized, &nodes, &m);
+        let sp = traffic(CommStrategy::Sparse, &nodes, &m);
         // centralized never has more transactions
         prop_assert!(cc.transactions <= dc.transactions);
         // distributed never moves more bytes
@@ -274,7 +275,7 @@ proptest! {
         // trunk, scatter; intra-node pairs cost at most 1), every
         // migrated byte moves at least once, and only Hier reports
         // node-pair aggregation
-        let hi = traffic(CommStrategy::Hier, &m);
+        let hi = traffic(CommStrategy::Hier, &nodes, &m);
         prop_assert_eq!(hi.nonzero_pairs, dc.nonzero_pairs);
         prop_assert!(hi.transactions <= 3 * hi.nonzero_pairs);
         prop_assert!(hi.total_bytes >= dc.total_bytes);
@@ -309,7 +310,7 @@ proptest! {
                             .collect()
                     })
                     .collect();
-                exchange(&c, strategy, outgoing)
+                exchange(&c, strategy, &NodeMap::default_for(n), outgoing)
             })
         };
         let sp = deliver(CommStrategy::Sparse);
@@ -359,9 +360,9 @@ proptest! {
                         ChaosComm::new(c, chaos.clone()),
                         reliable.clone(),
                     );
-                    exchange(&c, CommStrategy::Distributed, outgoing)
+                    exchange(&c, CommStrategy::Distributed, &NodeMap::default_for(n), outgoing)
                 } else {
-                    exchange(&c, CommStrategy::Distributed, outgoing)
+                    exchange(&c, CommStrategy::Distributed, &NodeMap::default_for(n), outgoing)
                 }
             })
         };
